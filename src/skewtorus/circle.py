@@ -30,7 +30,12 @@ RationalLike = Union[int, Fraction]
 CoeffsLike = Union[Mapping[str, RationalLike], Iterable[tuple[str, RationalLike]]]
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
+_NUMBER_RE = re.compile(r"([0-9]+)(?:\s*/\s*([0-9]+))?")
+_STAR_RE = re.compile(r"[ \t]*\*[ \t]*")
+
+# Largest k in a binomial marker C(n,k).  A parse allocates one
+# coefficient per k up to the largest, so the cap bounds that work.
+MAX_BINOM_K = 64
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,8 @@ class Angle:
 
     @classmethod
     def parse(cls, text: str, base_offset: int = 0) -> "Angle":
-        return _parse_angle(text, base_offset)
+        sums, _ = _read_sum(text, 0, base_offset, None, False)
+        return _angle(sums[0])
 
 
 ZERO = Angle()
@@ -186,80 +192,139 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_term(
-    text: str, pos: int, base: int
-) -> tuple[Fraction, str | None, int]:
-    """One term: `p`, `p/q`, `p/q*sym`, or bare `sym`."""
-    n = len(text)
-    if pos >= n:
-        raise ParseError("expected a term", base + pos)
+def _expect(text: str, pos: int, base: int, token: str, message: str) -> int:
+    pos = _skip_ws(text, pos)
+    if not text.startswith(token, pos):
+        raise ParseError(message, base + pos)
+    return pos + len(token)
+
+
+def _literal(m: re.Match, group: int, base: int) -> int:
+    try:
+        return int(m.group(group))
+    except ValueError:  # longer than int()'s digit limit
+        raise ParseError(
+            f"integer literal of {len(m.group(group))} digits is too long",
+            base + m.start(group),
+        ) from None
+
+
+def _read_binom(text: str, pos: int, base: int) -> tuple[int, int]:
+    """`C(n,k)` at pos, blanks allowed inside; returns (k, end)."""
+    pos = _expect(text, pos, base, "C(", "expected C(n,k)")
+    pos = _expect(text, pos, base, "n", "expected literal 'n' in C(n,k)")
+    pos = _skip_ws(text, _expect(text, pos, base, ",", "expected ',' in C(n,k)"))
+    m = _NUMBER_RE.match(text, pos)
+    if not m or m.group(2) is not None:
+        raise ParseError("expected integer k in C(n,k)", base + pos)
+    k = _literal(m, 1, base)
+    if k > MAX_BINOM_K:
+        raise ParseError(f"k = {k} exceeds the cap {MAX_BINOM_K} in C(n,k)", base + pos)
+    return k, _expect(text, m.end(), base, ")", "expected ')' closing C(n,k)")
+
+
+def _read_term(
+    text: str, pos: int, base: int, binom: bool
+) -> tuple[int, Iterable[tuple[str | None, Fraction]], int]:
+    """One term as (k, [(symbol or None for the rational part, value)], end).
+
+    Angle terms are `p`, `p/q`, `p/q*sym` and `sym`.  With ``binom`` a
+    term may also be `(angle)`, any of these may be followed by
+    `*C(n,k)`, and a bare `C(n,k)` has coefficient 1.
+    """
+    if binom and text[pos] == "(":
+        inner, end = _read_sum(text, pos + 1, base, ")", False)
+        end = _expect(text, end, base, ")", "expected ')' closing '('")
+        k, end = _read_times_binom(text, end, base)
+        return k, inner[0].items(), end
+    value = Fraction(1)
     m = _NUMBER_RE.match(text, pos)
     if m:
-        num = int(m.group(1))
-        den = 1
-        if m.group(2) is not None:
-            den = int(m.group(2))
-            if den == 0:
-                raise ParseError("zero denominator", base + m.start(2))
-        pos = m.end()
-        after = _skip_ws(text, pos)
-        if after < n and text[after] == "*":
-            pos = _skip_ws(text, after + 1)
-            sm = _SYMBOL_RE.match(text, pos)
-            if not sm:
-                raise ParseError("expected basis symbol after '*'", base + pos)
-            return Fraction(num, den), sm.group(), sm.end()
-        return Fraction(num, den), None, pos
+        num = _literal(m, 1, base)
+        den = 1 if m.group(2) is None else _literal(m, 2, base)
+        if den == 0:
+            raise ParseError("zero denominator", base + m.start(2))
+        value = Fraction(num, den)
+        star = _STAR_RE.match(text, m.end())
+        if star is None:
+            return 0, [(None, value)], m.end()
+        pos = star.end()
+    if binom and text.startswith("C(", pos):  # `C(n,k)` or `p/q*C(n,k)`
+        k, end = _read_binom(text, pos, base)
+        return k, [(None, value)], end
     sm = _SYMBOL_RE.match(text, pos)
-    if sm:
-        return Fraction(1), sm.group(), sm.end()
-    raise ParseError(
-        f"expected rational or symbol, found {text[pos]!r}", base + pos
-    )
+    if not sm:
+        if m:
+            raise ParseError("expected basis symbol after '*'", base + pos)
+        raise ParseError(f"expected rational or symbol, found {text[pos]!r}", base + pos)
+    k, end = _read_times_binom(text, sm.end(), base) if binom else (0, sm.end())
+    return k, [(sm.group(), value)], end
 
 
-def _parse_angle(text: str, base: int = 0) -> Angle:
-    rat = Fraction(0)
-    coeffs: dict[str, Fraction] = {}
-    pos = _skip_ws(text, 0)
-    if pos == len(text):
-        raise ParseError("empty angle", base + pos)
+def _read_times_binom(text: str, pos: int, base: int) -> tuple[int, int]:
+    """An optional `*C(n,k)` after a coefficient; k = 0 without one."""
+    star = _STAR_RE.match(text, pos)
+    return (0, pos) if star is None else _read_binom(text, star.end(), base)
+
+
+def _read_sum(
+    text: str, pos: int, base: int, stop: str | None, binom: bool
+) -> tuple[dict[int, dict[str | None, Fraction]], int]:
+    """Signed terms from pos up to the end of text or the stop character.
+
+    Returns the per-k sums {k: {symbol or None: value}} and the position
+    of the stop character (len(text) at the end).  Error offsets are
+    ``base`` plus the position in ``text``.
+    """
+    sums: dict[int, dict[str | None, Fraction]] = {}
+    n = len(text)
+    pos = _skip_ws(text, pos)
+    if pos == n or text[pos] == stop:
+        raise ParseError(f"empty {'polynomial' if binom else 'angle'}", base + pos)
     sign = 1
     if text[pos] in "+-":
         sign = -1 if text[pos] == "-" else 1
         pos = _skip_ws(text, pos + 1)
     while True:
-        value, symbol, pos = _parse_term(text, pos, base)
-        if symbol is None:
-            rat += sign * value
-        else:
-            coeffs[symbol] = coeffs.get(symbol, Fraction(0)) + sign * value
+        if pos == n or text[pos] == stop:
+            raise ParseError("expected a term", base + pos)
+        k, parts, pos = _read_term(text, pos, base, binom)
+        acc = sums.setdefault(k, {})
+        for sym, value in parts:
+            acc[sym] = acc.get(sym, 0) + sign * value
         pos = _skip_ws(text, pos)
-        if pos == len(text):
-            break
-        if text[pos] == "+":
-            sign = 1
-        elif text[pos] == "-":
-            sign = -1
-        else:
-            raise ParseError(
-                f"expected '+' or '-', found {text[pos]!r}", base + pos
-            )
+        if pos == n or text[pos] == stop:
+            return sums, pos
+        if text[pos] not in "+-":
+            raise ParseError(f"expected '+' or '-', found {text[pos]!r}", base + pos)
+        sign = -1 if text[pos] == "-" else 1
         pos = _skip_ws(text, pos + 1)
-    return Angle(rat, coeffs)
+
+
+def _angle(parts: dict[str | None, Fraction]) -> Angle:
+    return Angle(parts.pop(None, 0), parts)  # type: ignore[arg-type]
 
 
 def parse_point(text: str, base_offset: int = 0) -> tuple[Angle, ...]:
     """Comma-separated list of angles; offsets in errors are global."""
     out: list[Angle] = []
-    start = 0
+    pos = 0
     while True:
-        idx = text.find(",", start)
-        chunk = text[start:] if idx < 0 else text[start:idx]
-        out.append(_parse_angle(chunk, base_offset + start))
-        if idx < 0:
+        sums, pos = _read_sum(text, pos, base_offset, ",", False)
+        out.append(_angle(sums[0]))
+        if pos == len(text):
             return tuple(out)
-        start = idx + 1
+        pos += 1
+
+
+def parse_binomial_sum(text: str) -> list[Angle]:
+    """Coefficients c_0, ..., c_d of `sum_k c_k*C(n,k)` written as text.
+
+    The grammar is the README's polynomial grammar; k is at most
+    MAX_BINOM_K.  Trailing zero coefficients are not trimmed.
+    """
+    sums, _ = _read_sum(text, 0, 0, None, True)
+    return [_angle(sums.get(k, {})) for k in range(max(sums) + 1)]
 
 
 def format_point(point: Sequence[Angle]) -> str:

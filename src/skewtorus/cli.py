@@ -33,6 +33,11 @@ from .weyl import equidistribution_report
 
 import random
 
+# `iterate --oracle` re-runs the orbit one step at a time (tens of
+# microseconds a step), so |n| above this cap exits 3 instead of running
+# for minutes.
+ORACLE_MAX_STEPS = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; that code is reserved for
@@ -96,6 +101,11 @@ def _need_seed(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
+    if args.oracle and abs(args.n) > ORACLE_MAX_STEPS:
+        raise ConfigurationError(
+            f"--oracle takes |n| single steps; |n| = {abs(args.n)} exceeds "
+            f"the cap of {ORACLE_MAX_STEPS}"
+        )
     cfg = load_config(args.config)
     m = args.m if args.m is not None else cfg.system_m
     x0 = Angle.parse(args.x0) if args.x0 is not None else cfg.system().x0
@@ -199,6 +209,8 @@ def _cmd_factor_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor_kernel(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     cfg = load_config(args.config)
     seed = _need_seed(args, cfg)
     fac = cfg.factor()
@@ -285,7 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="recompute by repeated stepping and report agreement",
+        help=f"recompute by stepping and report agreement (|n| <= {ORACLE_MAX_STEPS})",
     )
     p.set_defaults(func=_cmd_iterate)
 
@@ -323,7 +335,7 @@ def build_parser() -> _Parser:
     d.set_defaults(func=_cmd_factor_demo)
     k = lab.add_parser("kernel", help="kernel membership and normality")
     add_config(k)
-    k.add_argument("--samples", type=int, default=50)
+    k.add_argument("--samples", type=int, default=50, help="samples per spec (>= 1)")
     k.add_argument("--seed", type=int, default=None)
     k.set_defaults(func=_cmd_factor_kernel)
 

@@ -22,7 +22,7 @@ from math import factorial
 def binom(n: int, k: int) -> int:
     """Generalized binomial coefficient, defined for every integer n."""
     if k < 0:
-        raise ValueError(f"binom undefined for negative k, got k={k}")
+        raise ValueError(f"k must be nonnegative, got k={k}")
     prod = 1
     for i in range(k):
         prod *= n - i
@@ -57,9 +57,4 @@ def stirling1(k: int, j: int) -> int:
 
 def falling_factorial(n: int, k: int) -> int:
     """n (n-1) ... (n-k+1); equals k! * binom(n, k)."""
-    if k < 0:
-        raise ValueError(f"falling_factorial undefined for negative k, got k={k}")
-    prod = 1
-    for i in range(k):
-        prod *= n - i
-    return prod
+    return factorial(k) * binom(n, k)

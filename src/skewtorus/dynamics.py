@@ -30,14 +30,12 @@ integer points tilde(0), ..., tilde(m) already separate index vectors
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .circle import Angle, ZERO
-from .circle import _NUMBER_RE, _parse_angle, _parse_term, _skip_ws
+from .circle import Angle, ZERO, parse_binomial_sum
 from .combinatorics import binom
 from .ellis import HmElement
-from .errors import ConfigurationError, ParseError, RelationError
+from .errors import ConfigurationError, RelationError
 
 
 @dataclass(frozen=True)
@@ -214,105 +212,7 @@ class PolyAngle:
 
     @classmethod
     def parse(cls, text: str) -> "PolyAngle":
-        return _parse_poly(text)
-
-
-def _parse_poly(text: str) -> PolyAngle:
-    """Terms `<angle term>` or `<angle term>*C(n,k)`, joined by + or -.
-
-    Accepts the same term grammar as angles, optionally followed by a
-    binomial marker; parenthesized coefficients are allowed.
-    """
-    coeffs: dict[int, Angle] = {}
-    n = len(text)
-    pos = _skip_ws(text, 0)
-    if pos == n:
-        raise ParseError("empty polynomial", pos)
-    sign = 1
-    if text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
-        pos = _skip_ws(text, pos + 1)
-    while True:
-        angle, k, pos = _parse_poly_term(text, pos)
-        coeffs[k] = coeffs.get(k, ZERO) + sign * angle
-        pos = _skip_ws(text, pos)
-        if pos == n:
-            break
-        if text[pos] == "+":
-            sign = 1
-        elif text[pos] == "-":
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
-        pos = _skip_ws(text, pos + 1)
-    top = max(coeffs) if coeffs else 0
-    return PolyAngle([coeffs.get(k, ZERO) for k in range(top + 1)])
-
-
-def _parse_poly_term(text: str, pos: int) -> tuple[Angle, int, int]:
-    n = len(text)
-    if pos < n and text[pos] == "(":
-        depth, j = 1, pos + 1
-        while j < n and depth:
-            if text[j] == "(":
-                depth += 1
-            elif text[j] == ")":
-                depth -= 1
-            j += 1
-        if depth:
-            raise ParseError("unbalanced '('", pos)
-        angle = _parse_angle(text[pos + 1 : j - 1], pos + 1)
-        pos = _skip_ws(text, j)
-        if pos < n and text[pos] == "*":
-            k, pos = _parse_binom_marker(text, _skip_ws(text, pos + 1))
-            return angle, k, pos
-        return angle, 0, pos
-    # unparenthesized: a single angle term, optionally * C(n,k)
-    if text[pos : pos + 2] == "C(":
-        k, pos = _parse_binom_marker(text, pos)
-        return Angle(1), k, pos
-    num = _NUMBER_RE.match(text, pos)
-    if num:
-        # lookahead: `p/q * C(n,k)` would otherwise read C as a symbol
-        after = _skip_ws(text, num.end())
-        if after < n and text[after] == "*":
-            start = _skip_ws(text, after + 1)
-            if text[start : start + 2] == "C(":
-                den = int(num.group(2)) if num.group(2) is not None else 1
-                if den == 0:
-                    raise ParseError("zero denominator", num.start(2))
-                k, pos = _parse_binom_marker(text, start)
-                return Angle(Fraction(int(num.group(1)), den)), k, pos
-    value, symbol, pos = _parse_term(text, pos, 0)
-    angle = Angle(value) if symbol is None else Angle(0, {symbol: value})
-    after = _skip_ws(text, pos)
-    if after < n and text[after] == "*":
-        pos = _skip_ws(text, after + 1)
-        if text[pos : pos + 2] == "C(":
-            k, pos = _parse_binom_marker(text, pos)
-            return angle, k, pos
-        raise ParseError("expected C(n,k) after '*'", pos)
-    return angle, 0, pos
-
-
-def _parse_binom_marker(text: str, pos: int) -> tuple[int, int]:
-    if text[pos : pos + 2] != "C(":
-        raise ParseError("expected C(n,k)", pos)
-    pos = _skip_ws(text, pos + 2)
-    if text[pos : pos + 1] != "n":
-        raise ParseError("expected literal 'n' in C(n,k)", pos)
-    pos = _skip_ws(text, pos + 1)
-    if text[pos : pos + 1] != ",":
-        raise ParseError("expected ',' in C(n,k)", pos)
-    pos = _skip_ws(text, pos + 1)
-    m = _NUMBER_RE.match(text, pos)
-    if not m or m.group(2) is not None:
-        raise ParseError("expected integer k in C(n,k)", pos)
-    k = int(m.group(1))
-    pos = _skip_ws(text, m.end())
-    if text[pos : pos + 1] != ")":
-        raise ParseError("expected ')' closing C(n,k)", pos)
-    return k, pos + 1
+        return cls(parse_binomial_sum(text))
 
 
 def orbit_polynomial(

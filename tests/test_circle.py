@@ -49,6 +49,9 @@ def test_parse_error_offsets():
         ("1 b1", "expected '+' or '-'", 2),
         ("1/0*b1", "zero denominator", 2),
         ("1 + ?", "expected rational or symbol", 4),
+        ("\u0661/\u0663", "expected rational or symbol", 0),  # Arabic-Indic 1/3
+        ("1" * 5000, "5000 digits is too long", 0),
+        ("1/" + "2" * 5000, "5000 digits is too long", 2),
     ]
     for text, fragment, offset in cases:
         with pytest.raises(ParseError) as info:

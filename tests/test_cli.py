@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from skewtorus.cli import main
+from skewtorus.cli import ORACLE_MAX_STEPS, main
 from skewtorus.config import Config
 from skewtorus.ellis import HmElement
 
@@ -42,6 +42,17 @@ def test_iterate_oracle_agreement(capsys):
     assert code == 0
     (row,) = lines(capsys.readouterr().out)
     assert row["agrees"] is True
+
+
+def test_iterate_oracle_is_capped(capsys):
+    cap = ORACLE_MAX_STEPS
+    assert main(["iterate", "--n", str(-cap - 1), "--oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"|n| = {cap + 1} exceeds the cap of {cap}" in err
+    # closed-form iteration alone has no cap
+    assert main(["iterate", "--n", str(10**12)]) == 0
+    capsys.readouterr()
 
 
 def test_iterate_torsion_base_notes_period(capsys):
@@ -203,6 +214,15 @@ def test_factor_lab_kernel(capsys):
     assert all(r["member_violations"] == 0 for r in rows[:3])
     assert all(r["normality_violations"] == 0 for r in rows[:3])
     assert rows[3] == {"summary": True, "pass": True, "seed": 5}
+
+
+def test_factor_lab_kernel_rejects_zero_samples(capsys):
+    for samples in ["0", "-5"]:
+        argv = ["factor-lab", "kernel", "--seed", "5", "--samples", samples]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--samples must be >= 1, got {samples}" in err
 
 
 def test_factor_lab_requires_subcommand(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewtorus.circle import Angle, BasisDecl, ZERO
+from skewtorus.circle import MAX_BINOM_K, Angle, BasisDecl, ZERO
 from skewtorus.dynamics import (
     BasicSystem,
     CharacterIndex,
@@ -139,9 +139,17 @@ def test_poly_parse_and_str():
     assert str(PolyAngle([Angle(F(1, 2))])) == "1/2"
     assert str(PolyAngle([ZERO])) == "0"
 
-    for text in ["", "(1/2", "1*C(x,1)", "(1/2)*Q", "1/2 $"]:
+    # a bare C(n,k) has coefficient 1, which is 0 on the circle
+    assert PolyAngle.parse("C(n,3) + b1*C(n,1)") == PolyAngle([ZERO, B1])
+    assert PolyAngle.parse(f"b1*C(n,{MAX_BINOM_K})").degree == MAX_BINOM_K
+
+    for text in ["", "(1/2", "1*C(x,1)", "(1/2)*Q", "1/2 $",
+                 f"1/2*C(n,{MAX_BINOM_K + 1})", "C(n, 1000000000)"]:
         with pytest.raises(ParseError):
             PolyAngle.parse(text)
+    with pytest.raises(ParseError) as info:
+        PolyAngle.parse(f"b1 + 1/2*C(n,{MAX_BINOM_K + 1})")
+    assert info.value.offset == len("b1 + 1/2*C(n,")
 
 
 def test_orbit_polynomial_frozen():
