@@ -30,7 +30,7 @@ RationalLike = Union[int, Fraction]
 CoeffsLike = Union[Mapping[str, RationalLike], Iterable[tuple[str, RationalLike]]]
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"([0-9]+)(?:\s*/\s*([0-9]+))?")
+_NUMBER_RE = re.compile(r"([0-9]+)(?:[ \t]*/[ \t]*([0-9]+))?")
 _STAR_RE = re.compile(r"[ \t]*\*[ \t]*")
 
 # Largest k in a binomial marker C(n,k).  A parse allocates one

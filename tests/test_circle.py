@@ -47,6 +47,7 @@ def test_parse_error_offsets():
         ("", "empty angle", 0),
         ("1//2", "expected '+' or '-'", 1),
         ("1 b1", "expected '+' or '-'", 2),
+        ("1\n/ 2", "expected '+' or '-'", 1),  # blanks are space and tab only
         ("1/0*b1", "zero denominator", 2),
         ("1 + ?", "expected rational or symbol", 4),
         ("\u0661/\u0663", "expected rational or symbol", 0),  # Arabic-Indic 1/3

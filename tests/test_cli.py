@@ -6,10 +6,11 @@ JSON object per line) with all prose on stderr.  Exit codes: 0 pass,
 """
 
 import json
+import time
 
 import pytest
 
-from skewtorus.cli import ORACLE_MAX_STEPS, main
+from skewtorus.cli import ORACLE_MAX_STEPS, WEYL_MAX_SAMPLES, main
 from skewtorus.config import Config
 from skewtorus.ellis import HmElement
 
@@ -116,6 +117,40 @@ def test_weyl_argument_validation(capsys):
     )
     assert main(["weyl", "--char", "5", "--N", "10"]) == 3  # system has m=2
     capsys.readouterr()
+
+
+def test_weyl_periodic_work_is_bounded(capsys):
+    # period 10^9 + 7 would take about 10^9 target terms: exit 3 at once
+    start = time.perf_counter()
+    assert main(["weyl", "--poly", "1/1000000007*C(n,2)", "--N", "10"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "minimal period 1000000007 exceeds the cap of 1000000" in err
+    # period 32 is found without enumerating the divisors of 2 * 20!
+    assert main(["weyl", "--poly", "1/2*C(n,20)", "--N", "64",
+                 "--shifts", "0,5", "--tol", "1e-9"]) == 0
+    (report,) = lines(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert time.perf_counter() - start < 10
+
+
+def test_weyl_sample_count_is_capped(tmp_path, capsys):
+    cap = WEYL_MAX_SAMPLES
+    argv = ["weyl", "--poly", "1/3*C(n,2)", "--shifts", "0,1"]
+    assert main(argv + ["--N", str(cap // 2 + 1)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"is {2 * (cap // 2 + 1)} samples, over the cap of {cap}" in err
+    # the cap applies after the config and the flags are merged
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"N": cap + 1}))
+    assert main(["weyl", "--poly", "1/3*C(n,2)", "--shifts", "0",
+                 "--config", str(path)]) == 3
+    assert "over the cap" in capsys.readouterr().err
+    # the default config (N = 200,000 at 4 shifts) stays accepted
+    assert main(["weyl", "--char", "1"]) == 0
+    (report,) = lines(capsys.readouterr().out)
+    assert report["N"] == 200_000 and len(report["rows"]) == 4
 
 
 def test_weyl_character_of_config_system(capsys):

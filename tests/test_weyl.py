@@ -2,10 +2,14 @@
 
 The oracle for periodic polynomials is a direct complex-exponential sum
 over one period with cmath; the oracle for phase exactness evaluates the
-polynomial symbolically and projects each value separately.
+polynomial symbolically and projects each value separately.  The
+differential test holds the integer-residue period and target against
+Angle arithmetic: PolyAngle.shift for periods, and the sequential sum of
+angle_to_unit(p.evaluate(n)) for targets.
 """
 
 import cmath
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +18,7 @@ from skewtorus.circle import Angle, BasisDecl, ZERO, angle_to_unit
 from skewtorus.dynamics import BasicSystem, CharacterIndex, PolyAngle
 from skewtorus.errors import ConfigurationError
 from skewtorus.weyl import (
+    MAX_PERIOD,
     WeylReport,
     equidistribution_report,
     equidistribution_target,
@@ -54,6 +59,89 @@ def test_minimal_period_is_a_true_period():
         assert p.shift(t) == p
         for s in range(1, t):
             assert p.shift(s) != p
+
+
+def _prime_factors(n: int) -> set[int]:
+    out, r = set(), 2
+    while r * r <= n:
+        while n % r == 0:
+            out.add(r)
+            n //= r
+        r += 1
+    return out | ({n} if n > 1 else set())
+
+
+def _oracle_period(p: PolyAngle, t: int) -> bool:
+    """t is the least period: periods form a subgroup tZ, so t is least
+    iff p.shift(t) == p and no t/r for a prime r | t is a period."""
+    return p.shift(t) == p and all(p.shift(t // r) != p for r in _prime_factors(t))
+
+
+def _oracle_target(p: PolyAngle, t: int) -> complex:
+    s = 0j
+    for n in range(1, t + 1):
+        s += angle_to_unit(p.evaluate(n), BASIS)
+    return s / t
+
+
+def _random_angle(rng: random.Random, dens: list[int]) -> Angle:
+    return Angle(F(rng.randrange(60), rng.choice(dens)))
+
+
+def test_period_and_target_match_the_angle_oracle():
+    rng = random.Random("weyl-oracle")
+    dens = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12]
+    summed = longest = 0
+    for i in range(1200):
+        deg = rng.randint(2, 4) if i < 1000 else rng.randint(0, 4)
+        const = _random_angle(rng, dens)
+        if rng.random() < 0.3:  # irrational constant terms keep periodicity
+            const = const + Angle(0, {"b1": F(rng.randint(1, 9), 7)})
+        middle = [_random_angle(rng, dens) for _ in range(deg - 1)]
+        top = []
+        if deg:
+            den = rng.choice(dens[1:])
+            top = [Angle(F(rng.randrange(1, den), den))]  # keeps the degree
+        if i >= 1100 and deg:  # an irrational nonconstant coefficient
+            top = [top[0] + Angle(0, {"b2": F(rng.randint(1, 5), 3)})]
+        p = PolyAngle([const, *middle, *top])
+        assert p.degree == deg
+        t = minimal_period(p)
+        target = equidistribution_target(p, BASIS)
+        if i >= 1100 and deg:
+            assert t is None and target == 0j
+            continue
+        assert _oracle_period(p, t), (str(p), t)
+        if deg == 0:
+            assert repr(target) == repr(angle_to_unit(p.coeffs[0], BASIS))
+        elif deg == 1:  # a rational rotation sums to 0 over its period
+            assert target == 0j and abs(_oracle_target(p, t)) < 1e-12
+        else:
+            assert repr(target) == repr(_oracle_target(p, t)), str(p)
+            summed += 1
+            longest = max(longest, t)
+    assert summed >= 1000 and longest > 1000
+
+
+def test_period_cap_and_unbounded_periods():
+    # every period is a multiple of the top denominator, so a prime one
+    # past the cap is the period itself; the target refuses to sum it
+    big = quad(F(1, 1_000_000_007))
+    assert minimal_period(big) == 1_000_000_007
+    with pytest.raises(ConfigurationError) as info:
+        equidistribution_target(big, BASIS)
+    assert f"minimal period 1000000007 exceeds the cap of {MAX_PERIOD}" in str(info.value)
+    # a small top denominator with a long period from a lower coefficient
+    mixed = PolyAngle([ZERO, Angle(F(1, 1_000_003)), Angle(F(1, 2))])
+    assert minimal_period(mixed) == 4_000_012
+    assert _oracle_period(mixed, 4_000_012)
+    with pytest.raises(ConfigurationError):
+        equidistribution_target(mixed, BASIS)
+    # the divisors of Q * d! are no longer enumerated: C(n, 20) mod 2
+    # has period 32 by Lucas' theorem
+    high = PolyAngle([ZERO] * 20 + [Angle(F(1, 2))])
+    assert minimal_period(high) == 32
+    assert _oracle_period(high, 32)
 
 
 def test_target_frozen_cube_root():
