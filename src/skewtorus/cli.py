@@ -29,7 +29,7 @@ from .factor_lab import (
     kernel_member,
     nonseparation_witness,
 )
-from .weyl import equidistribution_report
+from .weyl import MAX_SAMPLES, equidistribution_report
 
 import random
 
@@ -37,11 +37,6 @@ import random
 # microseconds a step), so |n| above this cap exits 3 instead of running
 # for minutes.
 ORACLE_MAX_STEPS = 100_000
-
-# `weyl` costs about a microsecond per sample at degree 2, and more at
-# higher degree, so N times the number of shifts above this cap exits 3.
-# The default config asks for 200,000 samples at 4 shifts.
-WEYL_MAX_SAMPLES = 10_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,11 +145,6 @@ def _cmd_weyl(args: argparse.Namespace) -> int:
     N = args.N if args.N is not None else cfg.N
     shifts = _parse_shifts(args.shifts) if args.shifts else cfg.shifts
     tol = args.tol if args.tol is not None else cfg.tol
-    if N * len(shifts) > WEYL_MAX_SAMPLES:
-        raise ConfigurationError(
-            f"N = {N} at {len(shifts)} shift(s) is {N * len(shifts)} samples, "
-            f"over the cap of {WEYL_MAX_SAMPLES}"
-        )
     report = equidistribution_report(poly, N, shifts, tol, basis)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
@@ -325,7 +315,7 @@ def build_parser() -> _Parser:
         "--N",
         type=int,
         default=None,
-        help=f"sample count per shift (N * shifts <= {WEYL_MAX_SAMPLES})",
+        help=f"sample count per shift (N * shifts <= {MAX_SAMPLES})",
     )
     p.add_argument("--shifts", default=None, help="comma-separated start shifts")
     p.add_argument("--tol", type=float, default=None, help="pass tolerance")

@@ -22,8 +22,11 @@ The limit predicted for N -> infinity: 0 whenever some nonconstant
 coefficient has an irrational part, and likewise for degree-1 rational
 (non-integer) polynomials; otherwise the orbit of phases is periodic
 and the target is the exact average over one minimal period, summed on
-the same integer phase stream as the averages.  Periods above
-MAX_PERIOD raise ConfigurationError instead of running for minutes.
+the same integer phase stream as the averages.
+
+Bounded work.  Periods above MAX_PERIOD, and more than MAX_SAMPLES
+samples in one average or one report, raise ConfigurationError instead
+of running for minutes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .circle import Angle, BasisDecl, angle_to_unit
@@ -46,6 +49,11 @@ _TWO_PI = 2.0 * math.pi
 # A term costs about 1 us at degree 2 and 12 us at degree 64 (the parse
 # cap on k), so the exact period mean stays within seconds.
 MAX_PERIOD = 1_000_000
+
+# Most samples that one weyl_average, or one report over all its shifts,
+# takes.  A sample costs about a microsecond at degree 2 and more at
+# higher degree; the default config asks for 200,000 at 4 shifts.
+MAX_SAMPLES = 10_000_000
 
 
 def _coefficient_values(poly: PolyAngle, basis: BasisDecl) -> list[Fraction]:
@@ -107,6 +115,8 @@ def weyl_average(
     """(1/N) sum_{n=1}^{N} e(p(n + shift)), bit-deterministic."""
     if N < 1:
         raise ValueError(f"sample count must be >= 1, got {N}")
+    if N > MAX_SAMPLES:
+        raise ConfigurationError(f"N = {N} samples is over the cap of {MAX_SAMPLES}")
     stream = _PhaseStream(poly, basis, shift + 1)
     chunk: list[complex] = []
     sums: list[complex] = []
@@ -131,7 +141,9 @@ def minimal_period(poly: PolyAngle) -> int | None:
     h = sum_{j > k} binom(t, j - k) c_j, so P_k has least period t times
     the order of h in Q/Z.  Starting from the constant P_d (period 1),
     d such steps on the integer residues Q * c_j mod Q, for Q the lcm of
-    the nonconstant denominators, give the period of p = P_0.
+    the nonconstant denominators, give the period of p = P_0.  Only h
+    mod Q matters, and binom(t, r) mod Q depends on t mod Q * r! alone,
+    so the binomials are taken at t mod Q * d! and stay small.
     """
     if any(c.coeffs for c in poly.coeffs[1:]):
         return None
@@ -140,9 +152,13 @@ def minimal_period(poly: PolyAngle) -> int | None:
         Q = lcm(Q, c.rat.denominator)
     # a[0] stands in for the constant term, which no difference reads
     a = [0] + [c.rat.numerator * (Q // c.rat.denominator) for c in poly.coeffs[1:]]
+    modulus = Q * factorial(poly.degree)
     t = 1
     for k in range(poly.degree - 1, -1, -1):
-        h = sum(binom(t, j - k) * a[j] for j in range(k + 1, poly.degree + 1))
+        r, b, h = t % modulus, 1, 0
+        for i in range(1, poly.degree - k + 1):
+            b = b * (r - i + 1) // i  # binom(r, i)
+            h += b * a[k + i]
         t *= Q // gcd(h, Q)
     return t
 
@@ -153,8 +169,10 @@ def equidistribution_target(poly: PolyAngle, basis: BasisDecl) -> complex:
     A periodic target is the mean of e(p(n)) over n = 1..t for the
     minimal period t, summed in order on the same integer phase stream
     as weyl_average, so each term is bit-identical to the pointwise
-    projection angle_to_unit(p(n)).  A period over MAX_PERIOD raises
-    ConfigurationError.
+    projection angle_to_unit(p(n)).  Before the sum, two exact checks
+    against the Angle algebra guard the integer paths: p.shift(t) == p,
+    and the first term equals the projection of p(1).  A period over
+    MAX_PERIOD raises ConfigurationError.
     """
     if poly.degree == 0:
         return angle_to_unit(poly.coeffs[0], basis)
@@ -168,9 +186,14 @@ def equidistribution_target(poly: PolyAngle, basis: BasisDecl) -> complex:
             f"minimal period {t} exceeds the cap of {MAX_PERIOD} terms "
             "for the exact period mean"
         )
+    if poly.shift(t) != poly:
+        raise AssertionError(f"residue period {t} does not fix {poly}")
     stream = _PhaseStream(poly, basis, 1)
-    s = 0j
-    for _ in range(t):
+    x = _TWO_PI * stream.next_phase()
+    s = 0j + complex(math.cos(x), math.sin(x))
+    if s != angle_to_unit(poly.evaluate(1), basis):
+        raise AssertionError(f"phase stream disagrees with {poly} at n = 1")
+    for _ in range(t - 1):
         x = _TWO_PI * stream.next_phase()
         s += complex(math.cos(x), math.sin(x))
     return s / t
@@ -238,6 +261,11 @@ def equidistribution_report(
 ) -> WeylReport:
     if tol <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
+    if N * len(shifts) > MAX_SAMPLES:
+        raise ConfigurationError(
+            f"N = {N} at {len(shifts)} shift(s) is {N * len(shifts)} samples, "
+            f"over the cap of {MAX_SAMPLES}"
+        )
     target = equidistribution_target(poly, basis)
     averages = tuple(weyl_average(poly, N, k, basis) for k in shifts)
     return WeylReport(N, tuple(shifts), averages, target, tol)

@@ -10,9 +10,10 @@ import time
 
 import pytest
 
-from skewtorus.cli import ORACLE_MAX_STEPS, WEYL_MAX_SAMPLES, main
+from skewtorus.cli import ORACLE_MAX_STEPS, main
 from skewtorus.config import Config
 from skewtorus.ellis import HmElement
+from skewtorus.weyl import MAX_SAMPLES
 
 
 @pytest.fixture(autouse=True)
@@ -135,7 +136,7 @@ def test_weyl_periodic_work_is_bounded(capsys):
 
 
 def test_weyl_sample_count_is_capped(tmp_path, capsys):
-    cap = WEYL_MAX_SAMPLES
+    cap = MAX_SAMPLES
     argv = ["weyl", "--poly", "1/3*C(n,2)", "--shifts", "0,1"]
     assert main(argv + ["--N", str(cap // 2 + 1)]) == 3
     out, err = capsys.readouterr()
@@ -151,6 +152,14 @@ def test_weyl_sample_count_is_capped(tmp_path, capsys):
     assert main(["weyl", "--char", "1"]) == 0
     (report,) = lines(capsys.readouterr().out)
     assert report["N"] == 200_000 and len(report["rows"]) == 4
+    # `check` reads N from the config alone; the weyl suites that sample
+    # it hit the same cap, per report and per average
+    start = time.perf_counter()
+    for suite in ("weyl.irrational-null", "weyl.decay"):
+        argv = ["check", suite, "--seed", "1", "--config", str(path)]
+        assert main(argv) == 3, suite
+        assert "over the cap" in capsys.readouterr().err
+    assert time.perf_counter() - start < 10
 
 
 def test_weyl_character_of_config_system(capsys):

@@ -19,6 +19,7 @@ from skewtorus.dynamics import BasicSystem, CharacterIndex, PolyAngle
 from skewtorus.errors import ConfigurationError
 from skewtorus.weyl import (
     MAX_PERIOD,
+    MAX_SAMPLES,
     WeylReport,
     equidistribution_report,
     equidistribution_target,
@@ -224,6 +225,16 @@ def test_report_round_trip_and_csv():
         equidistribution_report(p, 10, [0], 0.0, BASIS)
     with pytest.raises(ValueError):
         weyl_average(p, 0, 0, BASIS)
+
+
+def test_sample_count_is_capped():
+    p = PolyAngle([ZERO, ZERO, B1])
+    with pytest.raises(ConfigurationError, match=f"over the cap of {MAX_SAMPLES}"):
+        weyl_average(p, MAX_SAMPLES + 1, 0, BASIS)
+    # a report caps N times the shift count, before any sample is taken
+    with pytest.raises(ConfigurationError) as info:
+        equidistribution_report(p, MAX_SAMPLES // 2 + 1, [0, 1], 0.1, BASIS)
+    assert f"is {2 * (MAX_SAMPLES // 2 + 1)} samples" in str(info.value)
 
 
 def test_failing_tolerance_is_reported_not_raised():
