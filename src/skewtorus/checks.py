@@ -104,6 +104,7 @@ class CheckEnv:
         self.rng = rng
         self.ctx = cfg.context()
         self.basis = self.ctx.basis
+        self.m = min(4, self.ctx.level)  # element dimension of the suites
 
     def system(self) -> BasicSystem:
         return self.cfg.system()
@@ -469,15 +470,17 @@ def _ellis_membership(env: CheckEnv, rec: Recorder) -> None:
     rng = env.rng
     ctx = env.ctx
     for _ in range(300):
-        m = rng.randint(2, 4)
+        m = rng.randint(2, env.m)
         el = rand_element(rng, ctx, m)
         try:
             HmElement.validate(ctx, el.comps)
             rec.check(True)
         except MembershipError:
             rec.check(False, "sampled element fails membership")
-        # tamper: bump a residue off its solution set
+        # tamper: bump a residue off its solution set (none at k = L)
         k = rng.randint(2, m)
+        if k == ctx.level:
+            continue
         bad = list(el.comps)
         bumped = (bad[k].residue + ctx.modulus // factorial(k) - 1) % ctx.modulus
         bad[k] = TruncEndo(ctx, bumped, bad[k].images)
@@ -488,7 +491,7 @@ def _ellis_membership(env: CheckEnv, rec: Recorder) -> None:
             rec.check(True)
     for n in (-7, -1, 0, 1, 2, 13):
         try:
-            HmElement.validate(ctx, HmElement.tilde(ctx, n, 4).comps)
+            HmElement.validate(ctx, HmElement.tilde(ctx, n, env.m).comps)
             rec.check(True)
         except MembershipError:
             rec.check(False, f"tilde({n}) fails membership")
@@ -498,7 +501,7 @@ def _ellis_membership(env: CheckEnv, rec: Recorder) -> None:
 def _ellis_group(env: CheckEnv, rec: Recorder) -> None:
     rng = env.rng
     ctx = env.ctx
-    m = 4
+    m = env.m
     ident = HmElement.identity(ctx, m)
     for _ in range(1000):
         a = rand_element(rng, ctx, m)
@@ -520,7 +523,7 @@ def _ellis_group(env: CheckEnv, rec: Recorder) -> None:
 @suite("ellis.tilde-hom")
 def _ellis_tilde_hom(env: CheckEnv, rec: Recorder) -> None:
     ctx = env.ctx
-    m = 4
+    m = env.m
     cache = {n: HmElement.tilde(ctx, n, m) for n in range(-40, 41)}
     for a in range(-20, 21):
         for b in range(-20, 21):
@@ -539,7 +542,7 @@ def _ellis_iterate_detect(env: CheckEnv, rec: Recorder) -> None:
     ctx = env.ctx
     for _ in range(200):
         n = rng.randint(-100, 100)
-        m = rng.randint(2, 4)
+        m = rng.randint(2, env.m)
         el = HmElement.tilde(ctx, n, m)
         rec.check(el.is_iterate() == n, f"tilde({n}) not detected")
         # perturb one image off the integer-point pattern
@@ -567,7 +570,7 @@ def _ellis_iterate_detect(env: CheckEnv, rec: Recorder) -> None:
 def _ellis_commutator(env: CheckEnv, rec: Recorder) -> None:
     rng = env.rng
     ctx = env.ctx
-    m = 4
+    m = env.m
     for k in (0, 1, 2):
         for _ in range(200):
             a = rand_element(rng, ctx, m, trivial_prefix=k)
@@ -589,7 +592,7 @@ def _ellis_commutator(env: CheckEnv, rec: Recorder) -> None:
 def _ellis_central(env: CheckEnv, rec: Recorder) -> None:
     rng = env.rng
     ctx = env.ctx
-    m = 4
+    m = env.m
     rec.check(HmElement.identity(ctx, m).central_level() == m, "identity level")
     rec.check(HmElement.tilde(ctx, 1, m).central_level() == 0, "tilde(1) level")
     only_top = [TruncEndo.power(ctx, 1)] + [TruncEndo.power(ctx, 0)] * m
@@ -659,7 +662,7 @@ def _ellis_roundtrip(env: CheckEnv, rec: Recorder) -> None:
     rng = env.rng
     ctx = env.ctx
     for _ in range(100):
-        el = rand_element(rng, ctx, rng.randint(2, 4))
+        el = rand_element(rng, ctx, rng.randint(2, env.m))
         rec.check(
             HmElement.from_dict(el.to_dict(), ctx) == el,
             "element JSON round-trip",
@@ -748,7 +751,7 @@ def _dynamics_orbit_poly(env: CheckEnv, rec: Recorder) -> None:
 def _dynamics_q_map(env: CheckEnv, rec: Recorder) -> None:
     rng = env.rng
     ctx = env.ctx
-    m = 4
+    m = env.m
     one = HmElement.tilde(ctx, 1, m)
     for _ in range(100):
         phi = rand_element(rng, ctx, m)

@@ -12,11 +12,13 @@ are the coefficients of the falling factorial in the power basis,
     n (n-1) ... (n-k+1) = sum_j s(k, j) n^j,
 
 computed by the recurrence s(k+1, j) = s(k, j-1) - k s(k, j).
+binomial_shift re-expands a polynomial in the basis binom(n, j) at n + t.
 """
 
 from __future__ import annotations
 
 from math import factorial
+from typing import Sequence
 
 
 def binom(n: int, k: int) -> int:
@@ -27,6 +29,22 @@ def binom(n: int, k: int) -> int:
     for i in range(k):
         prod *= n - i
     return prod // factorial(k)
+
+
+def binomial_shift(coeffs: Sequence, t: int) -> list:
+    """Coefficients of p(n + t) for p(n) = sum_j binom(n, j) * coeffs[j].
+
+    Entry i is sum_{j >= i} binom(t, j - i) * coeffs[j], over any Z-module
+    (ints, angles); zero terms are skipped.
+    """
+    out = []
+    for i, val in enumerate(coeffs):  # the j = i term has binom(t, 0) = 1
+        for j in range(i + 1, len(coeffs)):
+            b = binom(t, j - i)
+            if b and coeffs[j]:
+                val = val + b * coeffs[j]
+        out.append(val)
+    return out
 
 
 # rows of s(k, j) for j = 0..k; grown on demand, never truncated

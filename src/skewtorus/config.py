@@ -10,9 +10,11 @@ default basis uses sqrt(2)-1 and sqrt(3)-1 to 40 places.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from .circle import Angle, BasisDecl
 from .dynamics import BasicSystem
@@ -26,18 +28,6 @@ DEFAULT_BASIS: dict[str, str] = {
 }
 
 _MIN_FRACTIONAL_DIGITS = 30
-
-_KNOWN_KEYS = {
-    "level",
-    "basis",
-    "seed",
-    "shifts",
-    "tol",
-    "N",
-    "system",
-    "x_symbol",
-    "factor_m",
-}
 
 
 @dataclass(frozen=True)
@@ -78,72 +68,63 @@ class Config:
         return FactorConfig(self.context(), self.x_symbol, self.factor_m)
 
 
+def _int_from(lo: float) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _is_str(v: object) -> bool:
+    return isinstance(v, str)
+
+
+def _is_decimals(v: object) -> bool:
+    return isinstance(v, Mapping) and bool(v) and all(map(_is_str, v.values()))
+
+
+def _is_tol(v: object) -> bool:
+    # the upper bound rejects inf and ints too large for a float; NaN fails
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return number and 0 < v <= sys.float_info.max
+
+
+# config key -> (Config field, accepts, what it must be, conversion or None);
+# the keys of the system object appear as system.m and system.x0
+_SCHEMA: dict[str, tuple[str, Callable[[Any], bool], str, Callable | None]] = {
+    "level": ("level", _int_from(2), "an integer >= 2", None),
+    "basis": ("basis_decimals", _is_decimals, "a nonempty object of decimal strings",
+              lambda v: tuple(v.items())),
+    "seed": ("seed", lambda v: v is None or _int_from(-math.inf)(v),
+             "an integer or null", None),
+    "shifts": ("shifts", lambda v: isinstance(v, list) and all(map(_int_from(0), v)),
+               "a list of nonnegative integers", tuple),
+    "tol": ("tol", _is_tol, "a positive finite number", float),
+    "N": ("N", _int_from(1), "a positive integer", None),
+    "system.m": ("system_m", _int_from(1), "a positive integer", None),
+    "system.x0": ("system_x0", _is_str, "an angle string", None),
+    "x_symbol": ("x_symbol", _is_str, "a string", None),
+    "factor_m": ("factor_m", _int_from(2), "an integer >= 2", None),
+}
+
+
 def config_from_dict(data: Mapping) -> Config:
-    unknown = set(data) - _KNOWN_KEYS
+    system = data.get("system", {})
+    if not isinstance(system, Mapping):
+        raise ConfigurationError(
+            f"system must be an object with m and x0, got {system!r}"
+        )
+    flat = {k: v for k, v in data.items() if k != "system"}
+    flat.update((f"system.{k}", v) for k, v in system.items())
+    unknown = set(flat) - set(_SCHEMA)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    cfg = Config()
-    if "level" in data:
-        level = data["level"]
-        if not isinstance(level, int) or isinstance(level, bool) or level < 2:
-            raise ConfigurationError(f"level must be an integer >= 2, got {level!r}")
-        cfg = replace(cfg, level=level)
-    if "basis" in data:
-        basis = data["basis"]
-        if not isinstance(basis, Mapping) or not basis:
-            raise ConfigurationError("basis must be a nonempty object of decimals")
-        for name, text in basis.items():
-            if not isinstance(text, str):
-                raise ConfigurationError(
-                    f"basis value for {name} must be a decimal string"
-                )
-        cfg = replace(cfg, basis_decimals=tuple(basis.items()))
-    if "seed" in data:
-        seed = data["seed"]
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-            raise ConfigurationError(f"seed must be an integer, got {seed!r}")
-        cfg = replace(cfg, seed=seed)
-    if "shifts" in data:
-        shifts = data["shifts"]
-        if not isinstance(shifts, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 0
-            for s in shifts
-        ):
-            raise ConfigurationError("shifts must be a list of nonnegative integers")
-        cfg = replace(cfg, shifts=tuple(shifts))
-    if "tol" in data:
-        tol = data["tol"]
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-            raise ConfigurationError(f"tol must be a positive number, got {tol!r}")
-        cfg = replace(cfg, tol=float(tol))
-    if "N" in data:
-        N = data["N"]
-        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-            raise ConfigurationError(f"N must be a positive integer, got {N!r}")
-        cfg = replace(cfg, N=N)
-    if "system" in data:
-        sysd = data["system"]
-        if not isinstance(sysd, Mapping):
-            raise ConfigurationError("system must be an object with m and x0")
-        m = sysd.get("m", cfg.system_m)
-        x0 = sysd.get("x0", cfg.system_x0)
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ConfigurationError(f"system m must be a positive integer, got {m!r}")
-        if not isinstance(x0, str):
-            raise ConfigurationError("system x0 must be an angle string")
-        cfg = replace(cfg, system_m=m, system_x0=x0)
-    if "x_symbol" in data:
-        xs = data["x_symbol"]
-        if not isinstance(xs, str):
-            raise ConfigurationError("x_symbol must be a string")
-        cfg = replace(cfg, x_symbol=xs)
-    if "factor_m" in data:
-        fm = data["factor_m"]
-        if not isinstance(fm, int) or isinstance(fm, bool) or fm < 2:
-            raise ConfigurationError(
-                f"factor_m must be an integer >= 2, got {fm!r}"
-            )
-        cfg = replace(cfg, factor_m=fm)
+    fields = {}
+    for key, (field, accepts, what, convert) in _SCHEMA.items():
+        if key not in flat:
+            continue
+        value = flat[key]
+        if not accepts(value):
+            raise ConfigurationError(f"{key} must be {what}, got {value!r}")
+        fields[field] = convert(value) if convert else value
+    cfg = replace(Config(), **fields)
     cfg.basis()  # validate digits and ranges eagerly
     cfg.system()
     return cfg

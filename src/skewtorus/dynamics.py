@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .circle import Angle, ZERO, parse_binomial_sum
-from .combinatorics import binom
+from .combinatorics import binom, binomial_shift
 from .ellis import HmElement
 from .errors import ConfigurationError, RelationError
 
@@ -86,16 +86,12 @@ class BasicSystem:
 
 
 def ambient_iterate(g: Sequence[Angle], n: int) -> tuple[Angle, ...]:
-    """Binomial convolution of the ambient point (coordinate 0 is constant)."""
-    out = []
-    for k in range(len(g)):
-        val = g[k]  # j = k term, binom(n, 0) = 1
-        for j in range(k):
-            c = binom(n, k - j)
-            if c and g[j]:
-                val = val + c * g[j]
-        out.append(val)
-    return tuple(out)
+    """Binomial convolution of the ambient point (coordinate 0 is constant).
+
+    Read backwards, the point is the coefficient vector of a polynomial
+    in the binomial basis, and the iterate is that polynomial shifted by n.
+    """
+    return tuple(reversed(binomial_shift(g[::-1], n)))
 
 
 @dataclass(frozen=True)
@@ -188,15 +184,7 @@ class PolyAngle:
 
     def shift(self, t: int) -> "PolyAngle":
         """p(n + t) in the same basis, via Vandermonde convolution."""
-        out = []
-        for i in range(len(self.coeffs)):
-            val = self.coeffs[i]  # j = i term, binom(t, 0) = 1
-            for j in range(i + 1, len(self.coeffs)):
-                b = binom(t, j - i)
-                if b and self.coeffs[j]:
-                    val = val + b * self.coeffs[j]
-            out.append(val)
-        return PolyAngle(out)
+        return PolyAngle(binomial_shift(self.coeffs, t))
 
     def __str__(self) -> str:
         parts = []
@@ -297,11 +285,7 @@ def index_shift(v: Sequence[Angle]) -> tuple[Angle, ...]:
     """The vector Sv + v with (Sv)_k = v_{k+1}: pairs with translation.
 
     q(v)(tilde(1) * phi) == q(Sv + v)(phi) for every phi, the exact
-    shadow of the translation intertwining relation.
+    shadow of the translation intertwining relation.  As a binomial-basis
+    coefficient vector, Sv + v is v shifted by one.
     """
-    vv = list(v)
-    out = []
-    for k in range(len(vv)):
-        nxt = vv[k + 1] if k + 1 < len(vv) else ZERO
-        out.append(vv[k] + nxt)
-    return tuple(out)
+    return tuple(binomial_shift(v, 1))

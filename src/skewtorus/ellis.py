@@ -32,6 +32,17 @@ from .endo import TruncationContext, TruncEndo
 from .errors import ConfigurationError, MembershipError
 
 
+def _inner_sum(
+    a: Sequence[TruncEndo], b: Sequence[TruncEndo], k: int, acc: TruncEndo
+) -> TruncEndo:
+    """acc times every group-law term a_{k-j} o b_j, 0 < j < k, under ``*``."""
+    for j in range(1, k):
+        f, g = a[k - j], b[j]
+        if not (f.is_zero_map() or g.is_zero_map()):
+            acc = acc * f.compose(g)
+    return acc
+
+
 @dataclass(frozen=True)
 class HmElement:
     """Group element: components (phi_0, ..., phi_m), phi_0 = id."""
@@ -102,27 +113,16 @@ class HmElement:
         a, b = self.comps, other.comps
         out = [a[0]]
         for k in range(1, self.m + 1):
-            acc = a[k]  # j = 0 term, b_0 = id
-            for j in range(1, k):
-                f, g = a[k - j], b[j]
-                if f.is_zero_map() or g.is_zero_map():
-                    continue
-                acc = acc * f.compose(g)
-            acc = acc * b[k]  # j = k term, a_0 = id
-            out.append(acc)
+            # the j = 0 and j = k terms are a_k and b_k, as a_0 = b_0 = id
+            out.append(_inner_sum(a, b, k, a[k]) * b[k])
         return HmElement(self.ctx, tuple(out))
 
     def inverse(self) -> "HmElement":
         """Two-sided inverse, built by triangular back-substitution."""
-        out = [self.comps[0]]
+        a = self.comps
+        out = [a[0]]
         for k in range(1, self.m + 1):
-            acc = self.comps[k]  # j = 0 term
-            for j in range(1, k):
-                f, g = self.comps[k - j], out[j]
-                if f.is_zero_map() or g.is_zero_map():
-                    continue
-                acc = acc * f.compose(g)
-            out.append(acc.conj())
+            out.append(_inner_sum(a, out, k, a[k]).conj())
         return HmElement(self.ctx, tuple(out))
 
     def truncate(self, new_m: int) -> "HmElement":
@@ -247,11 +247,7 @@ def ast_mul(
     phi, x = a
     psi, y = b
     phi._require_compatible(psi)
-    top = phi.m + 1
-    corr = Angle()
-    for k in range(1, top):
-        f, g = phi.comps[top - k], psi.comps[k]
-        if f.is_zero_map() or g.is_zero_map():
-            continue
-        corr = corr + f.compose(g)(x0)
+    # evaluation is additive, so the slot-m sum is evaluated once
+    zero = TruncEndo.power(phi.ctx, 0)
+    corr = _inner_sum(phi.comps, psi.comps, phi.m + 1, zero)(x0)
     return phi * psi, x + y + corr

@@ -87,9 +87,9 @@ def pair_correction(phi: HmElement, psi: HmElement, cfg: FactorConfig) -> Angle:
     _check_dim(phi, cfg)
     _check_dim(psi, cfg)
     x2 = 2 * cfg.point
-    if phi.comps[1](x2) != psi.comps[1](x2):
+    if phi.comps[1](x2) != psi.comps[1](x2):  # (A)
         raise RelationError("pair correction undefined: values at 2x differ")
-    if phi.comps[1].residue != psi.comps[1].residue:
+    if phi.comps[1].residue != psi.comps[1].residue:  # (B)
         raise RelationError("pair correction undefined: torsion residues differ")
     x = cfg.point
     return phi.comps[1](phi.comps[1](x) - psi.comps[1](x))
@@ -101,16 +101,11 @@ def coset_equal(phi: HmElement, psi: HmElement, cfg: FactorConfig) -> bool:
     Exactly equivalent to inverse(phi) * psi in G, but decided from the
     components directly.
     """
-    _check_dim(phi, cfg)
-    _check_dim(psi, cfg)
-    x = cfg.point
-    x2 = 2 * x
-    if phi.comps[1](x2) != psi.comps[1](x2):  # (A)
+    try:
+        alpha = pair_correction(phi, psi, cfg)  # raises unless (A) and (B)
+    except RelationError:
         return False
-    if phi.comps[1].residue != psi.comps[1].residue:  # (B)
-        return False
-    alpha = phi.comps[1](phi.comps[1](x) - psi.comps[1](x))
-    return phi.comps[2](x) == psi.comps[2](x) + alpha  # twisted (C)
+    return phi.comps[2](cfg.point) == psi.comps[2](cfg.point) + alpha  # twisted (C)
 
 
 def qef_coset_constant(v: Sequence[Angle], cfg: FactorConfig) -> bool:

@@ -38,7 +38,7 @@ from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .circle import Angle, BasisDecl, angle_to_unit
-from .combinatorics import binom
+from .combinatorics import binomial_shift
 from .dynamics import BasicSystem, CharacterIndex, PolyAngle, orbit_polynomial
 from .errors import ConfigurationError
 
@@ -82,13 +82,9 @@ class _PhaseStream:
         for v in vals:
             den = lcm(den, v.denominator)
         ints = [int(v * den) for v in vals]
-        d = len(ints) - 1
-        # (Delta^j p)(start) = sum_{i >= j} C_i * binom(start, i - j)
+        # (Delta^j p)(start) is coefficient j of p shifted by start
         self.den = den
-        self.table = [
-            sum(ints[i] * binom(start, i - j) for i in range(j, d + 1)) % den
-            for j in range(d + 1)
-        ]
+        self.table = [w % den for w in binomial_shift(ints, start)]
 
     def next_phase(self) -> float:
         w = self.table
@@ -259,8 +255,8 @@ def equidistribution_report(
     tol: float,
     basis: BasisDecl,
 ) -> WeylReport:
-    if tol <= 0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
     if N * len(shifts) > MAX_SAMPLES:
         raise ConfigurationError(
             f"N = {N} at {len(shifts)} shift(s) is {N * len(shifts)} samples, "

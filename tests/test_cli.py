@@ -120,6 +120,17 @@ def test_weyl_argument_validation(capsys):
     capsys.readouterr()
 
 
+def test_weyl_rejects_a_non_finite_tolerance(tmp_path, capsys):
+    argv = ["weyl", "--poly", "1/3*C(n,2)", "--N", "10", "--shifts", "0"]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"tol": float("nan")}))  # json writes NaN
+    for extra in (["--tol", "nan"], ["--tol", "inf"], ["--config", str(path)]):
+        assert main(argv + extra) == 3, extra
+        out, err = capsys.readouterr()
+        assert "NaN" not in out and "Infinity" not in out
+        assert "finite" in err
+
+
 def test_weyl_periodic_work_is_bounded(capsys):
     # period 10^9 + 7 would take about 10^9 target terms: exit 3 at once
     start = time.perf_counter()
@@ -307,6 +318,23 @@ def test_check_selector_and_seed_errors(capsys):
     assert "seed" in err
 
 
+def test_check_runs_below_level_five(tmp_path, capsys):
+    # the suites build elements in dimension min(4, level), and tamper with
+    # residues only below slot L, where the coherence congruence binds
+    for level in (3, 4):
+        path = tmp_path / f"level{level}.json"
+        path.write_text(json.dumps({"level": level}))
+        for suite in ("ellis.membership", "ellis.central", "dynamics.q-map"):
+            argv = ["check", suite, "--seed", "1", "--config", str(path)]
+            assert main(argv) == 0, (level, suite)
+    assert all(row["pass"] for row in lines(capsys.readouterr().out))
+    # level 2 is too low for the three-dimensional action suite
+    path = tmp_path / "level2.json"
+    path.write_text(json.dumps({"level": 2}))
+    assert main(["check", "ellis.action", "--seed", "1", "--config", str(path)]) == 3
+    assert "need 1 <= m <= level, got m=3" in capsys.readouterr().err
+
+
 def test_config_file_and_env(tmp_path, monkeypatch, capsys):
     flagged = tmp_path / "flagged.json"
     flagged.write_text(json.dumps({"seed": 12}))
@@ -336,13 +364,20 @@ def test_config_rejections(tmp_path, capsys):
         {"mystery": True},
         {"shifts": [-1]},
         {"system": {"x0": "??"}},
+        {"system": {"m": 2, "mystery": 1}},
         {"tol": -0.5},
+        {"tol": 10**400},  # an int too large for a float
     ]
     for i, data in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(data))
         assert main(["check", "comb.pascal", "--seed", "1",
                      "--config", str(path)]) == 3
+    # one message format: <key> must be <what>, got <value>
+    err = capsys.readouterr().err
+    assert "level must be an integer >= 2, got 1" in err
+    assert "unknown config keys: ['system.mystery']" in err
+    assert "tol must be a positive finite number, got -0.5" in err
     path = tmp_path / "not-json.json"
     path.write_text("{")
     assert main(["check", "comb.pascal", "--seed", "1",

@@ -6,12 +6,15 @@ x(x-1)...(x-k+1) by polynomial convolution.  Frozen values below were
 computed from those oracles by hand.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from skewtorus.combinatorics import binom, falling_factorial, stirling1
+from skewtorus.circle import Angle
+from skewtorus.combinatorics import binom, binomial_shift, falling_factorial, stirling1
+from skewtorus.dynamics import PolyAngle
 
 
 def binom_oracle(n: int, k: int) -> Fraction:
@@ -121,6 +124,30 @@ def test_vandermonde_identity():
                 assert binom(a + b, k) == sum(
                     binom(a, j) * binom(b, k - j) for j in range(k + 1)
                 )
+
+
+def test_binomial_shift_re_expands_at_n_plus_t():
+    rng = random.Random(5)
+    for _ in range(60):
+        deg = rng.randint(0, 6)
+        ints = [rng.choice([0, rng.randint(-50, 50)]) for _ in range(deg + 1)]
+        angles = [
+            Angle(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                {"b1": Fraction(rng.randint(-5, 5), rng.randint(1, 7))},
+            )
+            for _ in range(deg + 1)
+        ]
+        poly = PolyAngle(angles)
+        for t in [-(10**12), *range(-5, 6), 10**12]:
+            shifted_ints = binomial_shift(ints, t)
+            shifted = PolyAngle(binomial_shift(angles, t))
+            for n in (-7, 0, 1, 4, 10**9):
+                # over Z the identity holds exactly, not only mod 1
+                assert sum(binom(n, i) * c for i, c in enumerate(shifted_ints)) == sum(
+                    binom(n + t, j) * c for j, c in enumerate(ints)
+                )
+                assert shifted.evaluate(n) == poly.evaluate(n + t)
 
 
 def test_negative_k_rejected():
