@@ -974,11 +974,11 @@ def _factor_membership(env: CheckEnv, rec: Recorder) -> None:
     el = rand_g(rng, fac)
     comps = list(el.comps)
     imgs = list(comps[1].images)
-    imgs[xi] = imgs[xi] + Angle(Fraction(1, 4))
+    imgs[xi] = imgs[xi] + Angle(Fraction(1, 3))  # representable at level >= 3
     comps[1] = TruncEndo(ctx, 0, tuple(imgs))
     rec.check(
         not g1_member(HmElement(ctx, tuple(comps)), fac),
-        "quarter-turn at x accepted in the outer subgroup",
+        "third-turn at x accepted in the outer subgroup",
     )
     comps = list(el.comps)
     imgs = list(comps[2].images)

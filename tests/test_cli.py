@@ -11,7 +11,7 @@ import time
 import pytest
 
 from skewtorus.cli import ORACLE_MAX_STEPS, main
-from skewtorus.config import Config
+from skewtorus.config import MAX_LEVEL, Config
 from skewtorus.ellis import HmElement
 from skewtorus.weyl import MAX_SAMPLES
 
@@ -324,7 +324,8 @@ def test_check_runs_below_level_five(tmp_path, capsys):
     for level in (3, 4):
         path = tmp_path / f"level{level}.json"
         path.write_text(json.dumps({"level": level}))
-        for suite in ("ellis.membership", "ellis.central", "dynamics.q-map"):
+        for suite in ("ellis.membership", "ellis.central", "dynamics.q-map",
+                      "factor.membership"):
             argv = ["check", suite, "--seed", "1", "--config", str(path)]
             assert main(argv) == 0, (level, suite)
     assert all(row["pass"] for row in lines(capsys.readouterr().out))
@@ -367,6 +368,9 @@ def test_config_rejections(tmp_path, capsys):
         {"system": {"m": 2, "mystery": 1}},
         {"tol": -0.5},
         {"tol": 10**400},  # an int too large for a float
+        {"x_symbol": "zz"},  # not a basis symbol
+        {"level": 4, "factor_m": 5},
+        {"level": MAX_LEVEL + 1},
     ]
     for i, data in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -378,6 +382,9 @@ def test_config_rejections(tmp_path, capsys):
     assert "level must be an integer >= 2, got 1" in err
     assert "unknown config keys: ['system.mystery']" in err
     assert "tol must be a positive finite number, got -0.5" in err
+    assert "x_symbol must be a symbol of the basis, got 'zz'" in err
+    assert "factor_m must be an integer from 2 to the level, got 5" in err
+    assert f"level must be at most MAX_LEVEL = {MAX_LEVEL}, got {MAX_LEVEL + 1}" in err
     path = tmp_path / "not-json.json"
     path.write_text("{")
     assert main(["check", "comb.pascal", "--seed", "1",

@@ -139,12 +139,14 @@ def test_poly_parse_and_str():
     assert str(PolyAngle([Angle(F(1, 2))])) == "1/2"
     assert str(PolyAngle([ZERO])) == "0"
 
-    # a bare C(n,k) has coefficient 1, which is 0 on the circle
-    assert PolyAngle.parse("C(n,3) + b1*C(n,1)") == PolyAngle([ZERO, B1])
+    # a bare C(n,k) has coefficient 1, which is 0 on the circle: rejected
+    with pytest.raises(ParseError) as info:
+        PolyAngle.parse("b1*C(n,1) - C(n,3)")
+    assert info.value.offset == len("b1*C(n,1) - ")
     assert PolyAngle.parse(f"b1*C(n,{MAX_BINOM_K})").degree == MAX_BINOM_K
 
     for text in ["", "(1/2", "1*C(x,1)", "(1/2)*Q", "1/2 $",
-                 f"1/2*C(n,{MAX_BINOM_K + 1})", "C(n, 1000000000)"]:
+                 f"1/2*C(n,{MAX_BINOM_K + 1})", "1/2*C(n, 1000000000)"]:
         with pytest.raises(ParseError):
             PolyAngle.parse(text)
     with pytest.raises(ParseError) as info:
