@@ -14,8 +14,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterator
 
 from .circle import Angle, ZERO, angle_to_unit, format_point, parse_point
 from .combinatorics import binom, stirling1
@@ -46,7 +47,7 @@ from .factor_lab import (
     qef_index_family,
 )
 from .weyl import (
-    _PhaseStream,
+    _phases,
     equidistribution_report,
     equidistribution_target,
     minimal_period,
@@ -127,7 +128,9 @@ def suite(name: str) -> Callable[[SuiteFn], SuiteFn]:
 
 def run_suites(
     cfg: Config, seed: int, selector: str = "all"
-) -> list[SuiteResult]:
+) -> Iterator[SuiteResult]:
+    """Run the selected suites in name order, yielding each result as it
+    finishes, so a later suite that raises loses none of the earlier ones."""
     names = sorted(
         n
         for n in REGISTRY
@@ -135,20 +138,16 @@ def run_suites(
     )
     if not names:
         raise ConfigurationError(f"no check suite matches {selector!r}")
-    results = []
     for name in names:
         rng = random.Random(f"{seed}:{name}")
         env = CheckEnv(cfg, rng)
         rec = Recorder()
         t0 = time.perf_counter()
         REGISTRY[name](env, rec)
-        results.append(
-            SuiteResult(
-                name, rec.cases, rec.failures, tuple(rec.samples),
-                time.perf_counter() - t0,
-            )
+        yield SuiteResult(
+            name, rec.cases, rec.failures, tuple(rec.samples),
+            time.perf_counter() - t0,
         )
-    return results
 
 
 # ---------------------------------------------------------------- samplers
@@ -811,9 +810,7 @@ def _weyl_phase_exact(env: CheckEnv, rec: Recorder) -> None:
         coeffs = [rand_free_angle(rng, ctx) for _ in range(deg + 1)]
         p = PolyAngle(coeffs)
         shift = rng.choice([0, 17, 10**3, 10**9, 10**12])
-        stream = _PhaseStream(p, basis, shift + 1)
-        for i in range(1, 41):
-            got = stream.next_phase()
+        for i, got in enumerate(islice(_phases(p, basis, shift + 1), 40), 1):
             want = angle_to_unit(p.evaluate(shift + i), basis)
             have = complex(
                 math.cos(2.0 * math.pi * got), math.sin(2.0 * math.pi * got)

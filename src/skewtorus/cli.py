@@ -246,9 +246,11 @@ def _cmd_factor_kernel(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = _need_seed(args, cfg)
-    results = run_suites(cfg, seed, args.selector)
-    for r in results:
+    results = []
+    for r in run_suites(cfg, seed, args.selector):
         _emit(r.to_dict(reproducible=args.reproducible))
+        sys.stdout.flush()
+        results.append(r)
     summary: dict = {
         "summary": True,
         "suites": len(results),

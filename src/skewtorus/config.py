@@ -134,6 +134,9 @@ def config_from_dict(data: Mapping) -> Config:
         if not accepts(value, cfg):
             raise ConfigurationError(f"{key} must be {what}, got {value!r}")
         cfg = replace(cfg, **{field: convert(value) if convert else value})
+    _, accepts, what, _ = _SCHEMA["x_symbol"]  # a given basis may lack the default
+    if not accepts(cfg.x_symbol, cfg):
+        raise ConfigurationError(f"x_symbol must be {what}, got {cfg.x_symbol!r} (the default)")
     if cfg.level > MAX_LEVEL:
         raise ConfigurationError(
             f"level must be at most MAX_LEVEL = {MAX_LEVEL}, got {cfg.level}"

@@ -20,7 +20,7 @@ SEED = 42
 
 def _run(selector: str):
     t0 = time.perf_counter()
-    results = run_suites(Config(), SEED, selector)
+    results = list(run_suites(Config(), SEED, selector))
     elapsed = time.perf_counter() - t0
     return results, elapsed
 

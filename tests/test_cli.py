@@ -318,6 +318,17 @@ def test_check_selector_and_seed_errors(capsys):
     assert "seed" in err
 
 
+def test_check_prints_finished_suites_before_a_later_one_raises(tmp_path, capsys):
+    # weyl.decay and weyl.determinism sample at most N = 1000 at once;
+    # weyl.irrational-null takes N at every shift and hits the sample cap
+    path = tmp_path / "many-shifts.json"
+    path.write_text(json.dumps({"N": 1000, "shifts": [0] * (MAX_SAMPLES // 1000 + 1)}))
+    assert main(["check", "weyl", "--seed", "1", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert [row["suite"] for row in lines(out)] == ["weyl.decay", "weyl.determinism"]
+    assert "over the cap" in err
+
+
 def test_check_runs_below_level_five(tmp_path, capsys):
     # the suites build elements in dimension min(4, level), and tamper with
     # residues only below slot L, where the coherence congruence binds
@@ -371,6 +382,7 @@ def test_config_rejections(tmp_path, capsys):
         {"x_symbol": "zz"},  # not a basis symbol
         {"level": 4, "factor_m": 5},
         {"level": MAX_LEVEL + 1},
+        {"basis": {"c1": "0.4142135623730950488016887242096980785697"}},  # no b1
     ]
     for i, data in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -385,6 +397,7 @@ def test_config_rejections(tmp_path, capsys):
     assert "x_symbol must be a symbol of the basis, got 'zz'" in err
     assert "factor_m must be an integer from 2 to the level, got 5" in err
     assert f"level must be at most MAX_LEVEL = {MAX_LEVEL}, got {MAX_LEVEL + 1}" in err
+    assert "x_symbol must be a symbol of the basis, got 'b1' (the default)" in err
     path = tmp_path / "not-json.json"
     path.write_text("{")
     assert main(["check", "comb.pascal", "--seed", "1",

@@ -174,6 +174,29 @@ def test_rational_average_is_exact_at_period_multiples():
         assert abs(weyl_average(p, N, 0, BASIS) - target) < 1e-10
 
 
+def _oracle_tree(vals: list[complex]) -> complex:
+    if len(vals) <= 8:
+        s = 0j
+        for v in vals:
+            s += v
+        return s
+    mid = len(vals) // 2
+    return _oracle_tree(vals[:mid]) + _oracle_tree(vals[mid:])
+
+
+def _oracle_average(units: list[complex], N: int) -> complex:
+    """The documented reduction: pairwise trees over chunks of 4096,
+    then a pairwise tree over the chunk sums."""
+    sums = [_oracle_tree(units[lo : min(lo + 4096, N)]) for lo in range(0, N, 4096)]
+    return _oracle_tree(sums) / N
+
+
+def _oracle_coefficient(rng: random.Random, kind: str) -> Angle:
+    rat = Angle(F(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**9)))
+    irr = Angle(0, {rng.choice(["b1", "b2"]): F(rng.randint(-9, 9), rng.randint(1, 9))})
+    return {"rational": rat, "irrational": irr, "mixed": rat + irr}[kind]
+
+
 def test_phase_stream_matches_pointwise_projection():
     # oracle: evaluate the polynomial exactly, project each term alone
     p = PolyAngle([Angle(F(1, 7)), B1, Angle(F(3, 8), {"b2": F(-2, 5)})])
@@ -183,6 +206,28 @@ def test_phase_stream_matches_pointwise_projection():
         )
         got = weyl_average(p, N, shift, BASIS)
         assert abs(got - direct / N) < 1e-13
+
+    # bitwise: every N below is a prefix of one oracle stream per
+    # (polynomial, shift).  The streams that cross chunk boundaries cost
+    # 8193 exact evaluations each, so they run at degrees 0-3, one per
+    # shift with the kinds in turn; every other pair checks N = 1 and 7.
+    rng = random.Random("weyl-bitwise")
+    shifts = (0, 17, -7, 10**12)
+    kinds = ("rational", "irrational", "mixed")
+    for deg in range(7):
+        for kind in kinds:
+            p = PolyAngle([_oracle_coefficient(rng, kind) for _ in range(deg + 1)])
+            for j, shift in enumerate(shifts):
+                long = deg == j and kind == kinds[deg % 3]
+                Ns = (1, 7, 4095, 4096, 4097, 8193) if long else (1, 7)
+                units = [
+                    angle_to_unit(p.evaluate(n + shift), BASIS)
+                    for n in range(1, Ns[-1] + 1)
+                ]
+                for N in Ns:
+                    want = _oracle_average(units, N)
+                    got = weyl_average(p, N, shift, BASIS)
+                    assert repr(got) == repr(want), (str(p), N, shift)
 
 
 def test_bit_determinism_and_huge_shifts():
