@@ -56,7 +56,7 @@ _TWO_PI_J = complex(0.0, 2.0 * math.pi)
 MAX_PERIOD = 1_000_000
 
 # Most samples that one weyl_average, or one report over all its shifts,
-# takes.  A sample costs about 0.6 us at degree 2 and 5 us at degree 64
+# takes.  A sample costs about 0.7 us at degree 2 and 6 us at degree 64
 # over 3 * 10^5 samples, where the unreduced rows have grown; the default
 # config asks for 200,000 at 4 shifts.
 MAX_SAMPLES = 10_000_000
