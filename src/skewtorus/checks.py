@@ -3,8 +3,9 @@
 Each suite is a named function drawing randomness from its own
 random.Random seeded with "<seed>:<suite-name>", so any suite can be
 rerun in isolation and `check all` output is byte-reproducible for a
-fixed seed.  Suites return (cases, failures, samples); the runner
-wraps them with timing and stable ordering (sorted by suite id).
+fixed seed.  Suites record their cases in a SuiteResult; the runner
+times them, runs them sorted by suite id, and refuses a selection whose
+declared element dimension exceeds the level before any suite starts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -32,10 +33,9 @@ from .dynamics import (
     q_eval,
 )
 from .ellis import HmElement, ast_mul, commutator, predicted_commutator
-from .endo import TruncEndo, TruncationContext, decompose, minimal_level
+from .endo import TruncEndo, decompose, minimal_level
 from .errors import ConfigurationError, MembershipError, TruncationError
 from .factor_lab import (
-    FactorConfig,
     coset_equal,
     default_kernel_specs,
     g1_member,
@@ -45,6 +45,14 @@ from .factor_lab import (
     pair_correction,
     qef_coset_constant,
     qef_index_family,
+)
+from .samplers import (
+    rand_angle,
+    rand_element,
+    rand_endo,
+    rand_free_angle,
+    rand_g1,
+    rand_kernel_member,
 )
 from .weyl import (
     _phases,
@@ -58,36 +66,17 @@ from .weyl import (
 
 @dataclass
 class SuiteResult:
+    """A suite's case count, failure count and first few failure texts."""
+
     suite: str
-    cases: int
-    failures: int
-    samples: tuple[str, ...]
-    elapsed: float
+    cases: int = 0
+    failures: int = 0
+    samples: list[str] = field(default_factory=list)
+    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
-
-    def to_dict(self, reproducible: bool = False) -> dict:
-        out: dict = {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": self.failures,
-            "samples": list(self.samples),
-            "pass": self.passed,
-        }
-        if not reproducible:
-            out["elapsed_s"] = round(self.elapsed, 3)
-        return out
-
-
-class Recorder:
-    """Counts cases; keeps the first few failure descriptions."""
-
-    def __init__(self) -> None:
-        self.cases = 0
-        self.failures = 0
-        self.samples: list[str] = []
 
     def check(self, ok: bool, describe: str = "") -> None:
         self.cases += 1
@@ -96,41 +85,64 @@ class Recorder:
             if len(self.samples) < 3:
                 self.samples.append(describe)
 
+    def to_dict(self, reproducible: bool = False) -> dict:
+        out: dict = {
+            "suite": self.suite,
+            "cases": self.cases,
+            "failures": self.failures,
+            "samples": self.samples,
+            "pass": self.passed,
+        }
+        if not reproducible:
+            out["elapsed_s"] = round(self.elapsed, 3)
+        return out
+
 
 class CheckEnv:
-    """Configuration plus a per-suite RNG."""
+    """Configuration, a per-suite RNG and the element dimension m."""
 
-    def __init__(self, cfg: Config, rng: random.Random) -> None:
+    def __init__(self, cfg: Config, rng: random.Random, m: int) -> None:
         self.cfg = cfg
         self.rng = rng
         self.ctx = cfg.context()
         self.basis = self.ctx.basis
-        self.m = min(4, self.ctx.level)  # element dimension of the suites
-
-    def system(self) -> BasicSystem:
-        return self.cfg.system()
-
-    def factor(self) -> FactorConfig:
-        return FactorConfig(self.ctx, self.cfg.x_symbol, self.cfg.factor_m)
+        self.m = m
 
 
-SuiteFn = Callable[[CheckEnv, Recorder], None]
-REGISTRY: dict[str, SuiteFn] = {}
+SuiteFn = Callable[[CheckEnv, SuiteResult], None]
+REGISTRY: dict[str, tuple[SuiteFn, int | str | None]] = {}
 
 
-def suite(name: str) -> Callable[[SuiteFn], SuiteFn]:
+def suite(name: str, dim: int | str | None = None) -> Callable[[SuiteFn], SuiteFn]:
+    """Register a suite building elements of dimension dim: a number, the
+    name of a Config field, or None for min(4, level), which always fits."""
+
     def register(fn: SuiteFn) -> SuiteFn:
-        REGISTRY[name] = fn
+        REGISTRY[name] = (fn, dim)
         return fn
 
     return register
+
+
+def _dimension(name: str, cfg: Config) -> int:
+    dim = REGISTRY[name][1]
+    if dim is None:
+        return min(4, cfg.level)
+    m = getattr(cfg, dim) if isinstance(dim, str) else dim
+    if not 1 <= m <= cfg.level:
+        raise ConfigurationError(
+            f"check suite {name} cannot run at level {cfg.level}: "
+            f"need 1 <= m <= level, got m={m}"
+        )
+    return m
 
 
 def run_suites(
     cfg: Config, seed: int, selector: str = "all"
 ) -> Iterator[SuiteResult]:
     """Run the selected suites in name order, yielding each result as it
-    finishes, so a later suite that raises loses none of the earlier ones."""
+    finishes, so a later suite that raises loses none of the earlier ones.
+    A selection with a suite the level cannot hold raises before any runs."""
     names = sorted(
         n
         for n in REGISTRY
@@ -138,145 +150,43 @@ def run_suites(
     )
     if not names:
         raise ConfigurationError(f"no check suite matches {selector!r}")
+    dims = {name: _dimension(name, cfg) for name in names}
     for name in names:
-        rng = random.Random(f"{seed}:{name}")
-        env = CheckEnv(cfg, rng)
-        rec = Recorder()
+        env = CheckEnv(cfg, random.Random(f"{seed}:{name}"), dims[name])
+        rec = SuiteResult(name)
         t0 = time.perf_counter()
-        REGISTRY[name](env, rec)
-        yield SuiteResult(
-            name, rec.cases, rec.failures, tuple(rec.samples),
-            time.perf_counter() - t0,
-        )
+        REGISTRY[name][0](env, rec)
+        rec.elapsed = time.perf_counter() - t0
+        yield rec
 
 
-# ---------------------------------------------------------------- samplers
+def _raises(exc: type[Exception], fn: Callable, *args) -> bool:
+    """Whether fn(*args) raises exc."""
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
 
 
-def rand_angle(rng: random.Random, ctx: TruncationContext, span: int = 2) -> Angle:
-    """Random angle with all denominators dividing the modulus."""
-    M = ctx.modulus
-    coeffs = {}
-    for s in ctx.basis.symbols:
-        if rng.random() < 0.7:
-            coeffs[s] = Fraction(rng.randrange(-span * M, span * M + 1), M)
-    return Angle(Fraction(rng.randrange(M), M), coeffs)
-
-
-def rand_free_angle(rng: random.Random, ctx: TruncationContext) -> Angle:
-    """Random angle with unconstrained small denominators."""
-    den = rng.choice([1, 2, 3, 5, 7, 12, 30])
-    coeffs = {}
-    for s in ctx.basis.symbols:
-        if rng.random() < 0.6:
-            coeffs[s] = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 7]))
-    return Angle(Fraction(rng.randrange(den), den), coeffs)
-
-
-def rand_endo(rng: random.Random, ctx: TruncationContext) -> TruncEndo:
-    return TruncEndo(
-        ctx,
-        rng.randrange(ctx.modulus),
-        tuple(rand_angle(rng, ctx) for _ in ctx.basis.symbols),
-    )
-
-
-def rand_element(
-    rng: random.Random,
-    ctx: TruncationContext,
-    m: int,
-    trivial_prefix: int = 0,
+def _swap(
+    el: HmElement, k: int, residue: int | None = None,
+    images: dict[int, Angle] | None = None,
 ) -> HmElement:
-    """Random member: residues drawn from the coherence solution sets."""
-    M = ctx.modulus
-    comps = [TruncEndo.power(ctx, 1)]
-    r1 = 0 if trivial_prefix >= 1 else rng.randrange(M)
-    for k in range(1, m + 1):
-        if k <= trivial_prefix:
-            comps.append(TruncEndo.power(ctx, 0))
-            continue
-        if k == 1:
-            r = r1
-        else:
-            kf = factorial(k)
-            r = (binom(r1, k) + rng.randrange(kf) * (M // kf)) % M
-        comps.append(
-            TruncEndo(
-                ctx, r, tuple(rand_angle(rng, ctx) for _ in ctx.basis.symbols)
-            )
-        )
-    return HmElement(ctx, tuple(comps))
-
-
-def rand_g1(rng: random.Random, fac: FactorConfig) -> HmElement:
-    """Member of the outer subgroup; see the coset module docstring.
-
-    Degree >= 2 components are drawn torsion-trivial (residue 0): at a
-    finite level the coherence congruence alone would admit "ghost"
-    residues that no infinite-level member shadows.
-    """
-    ctx = fac.ctx
-    comps = [TruncEndo.power(ctx, 1)]
-    for k in range(1, fac.m + 1):
-        imgs = []
-        for s in ctx.basis.symbols:
-            if k == 1 and s == fac.x_symbol:
-                imgs.append(
-                    Angle(Fraction(1, 2)) if rng.random() < 0.5 else ZERO
-                )
-            else:
-                imgs.append(rand_angle(rng, ctx))
-        comps.append(TruncEndo(ctx, 0, tuple(imgs)))
-    return HmElement(ctx, tuple(comps))
-
-
-def rand_g(rng: random.Random, fac: FactorConfig) -> HmElement:
-    """Member of the inner subgroup: additionally kills x at degree 2."""
-    el = rand_g1(rng, fac)
+    """el with component k rebuilt: a new residue, images replaced by index."""
+    comp = el.comps[k]
+    imgs = [(images or {}).get(i, img) for i, img in enumerate(comp.images)]
     comps = list(el.comps)
-    xi = fac.ctx.basis.index_of(fac.x_symbol)
-    imgs = list(comps[2].images)
-    imgs[xi] = ZERO
-    comps[2] = TruncEndo(fac.ctx, 0, tuple(imgs))
-    return HmElement(fac.ctx, tuple(comps))
-
-
-def rand_kernel_member(
-    rng: random.Random, ctx: TruncationContext, spec, m: int
-) -> HmElement:
-    """Sample from a kernel: trivial below spec.m, top kills the generators."""
-    M = ctx.modulus
-    comps = [TruncEndo.power(ctx, 1)] + [TruncEndo.power(ctx, 0)] * (spec.m - 1)
-    kf = factorial(spec.m)
-    candidates = [(j * (M // kf)) % M for j in range(kf)]
-    torsion = [g for g in spec.gamma if g.is_torsion]
-    residues = [
-        r
-        for r in candidates
-        if all((r * int(g.rat * M)) % M == 0 for g in torsion)
-    ]
-    killed = {s for g in spec.gamma for s, _ in g.coeffs}
-    imgs = tuple(
-        ZERO if s in killed else rand_angle(rng, ctx)
-        for s in ctx.basis.symbols
-    )
-    comps.append(TruncEndo(ctx, rng.choice(residues), imgs))
-    for k in range(spec.m + 1, m + 1):
-        kf = factorial(k)
-        r = rng.randrange(kf) * (M // kf) % M
-        comps.append(
-            TruncEndo(
-                ctx, r, tuple(rand_angle(rng, ctx) for _ in ctx.basis.symbols)
-            )
-        )
-    return HmElement(ctx, tuple(comps))
+    residue = comp.residue if residue is None else residue
+    comps[k] = TruncEndo(el.ctx, residue, tuple(imgs))
+    return HmElement(el.ctx, tuple(comps))
 
 
 # ------------------------------------------------------------ combinatorics
 
 
 @suite("comb.pascal")
-def _comb_pascal(env: CheckEnv, rec: Recorder) -> None:
+def _comb_pascal(env: CheckEnv, rec: SuiteResult) -> None:
     for n in range(-100, 101):
         for k in range(0, 21):
             if k == 0:
@@ -287,7 +197,7 @@ def _comb_pascal(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("comb.vandermonde")
-def _comb_vandermonde(env: CheckEnv, rec: Recorder) -> None:
+def _comb_vandermonde(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     for _ in range(5000):
         a = rng.randint(-50, 50)
@@ -300,7 +210,7 @@ def _comb_vandermonde(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("comb.stirling")
-def _comb_stirling(env: CheckEnv, rec: Recorder) -> None:
+def _comb_stirling(env: CheckEnv, rec: SuiteResult) -> None:
     for n in range(-30, 31):
         for k in range(0, 13):
             lhs = factorial(k) * binom(n, k)
@@ -309,7 +219,7 @@ def _comb_stirling(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("comb.negation")
-def _comb_negation(env: CheckEnv, rec: Recorder) -> None:
+def _comb_negation(env: CheckEnv, rec: SuiteResult) -> None:
     for n in range(-50, 1):
         for k in range(0, 13):
             ok = binom(n, k) == (-1) ** k * binom(-n + k - 1, k)
@@ -320,7 +230,7 @@ def _comb_negation(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("circle.group")
-def _circle_group(env: CheckEnv, rec: Recorder) -> None:
+def _circle_group(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     for _ in range(10_000):
         a = rand_free_angle(rng, env.ctx)
@@ -333,7 +243,7 @@ def _circle_group(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("circle.unit-hom")
-def _circle_unit_hom(env: CheckEnv, rec: Recorder) -> None:
+def _circle_unit_hom(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     for _ in range(2000):
         a = rand_free_angle(rng, env.ctx)
@@ -346,7 +256,7 @@ def _circle_unit_hom(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("circle.scaling")
-def _circle_scaling(env: CheckEnv, rec: Recorder) -> None:
+def _circle_scaling(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     for _ in range(2000):
         a = rand_free_angle(rng, env.ctx)
@@ -367,7 +277,7 @@ def _circle_scaling(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("endo.evaluation")
-def _endo_eval(env: CheckEnv, rec: Recorder) -> None:
+def _endo_eval(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     for _ in range(2000):
@@ -388,7 +298,7 @@ def _endo_eval(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("endo.compose")
-def _endo_compose(env: CheckEnv, rec: Recorder) -> None:
+def _endo_compose(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     ident = TruncEndo.power(ctx, 1)
@@ -407,7 +317,7 @@ def _endo_compose(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("endo.module")
-def _endo_module(env: CheckEnv, rec: Recorder) -> None:
+def _endo_module(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     zero = TruncEndo.power(ctx, 0)
@@ -430,7 +340,7 @@ def _endo_module(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("endo.closure")
-def _endo_closure(env: CheckEnv, rec: Recorder) -> None:
+def _endo_closure(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     M = ctx.modulus
@@ -438,11 +348,7 @@ def _endo_closure(env: CheckEnv, rec: Recorder) -> None:
         f = rand_endo(rng, ctx)
         g = rand_endo(rng, ctx)
         for out in (f.compose(g), f * g, f.conj()):
-            try:
-                out.validate()
-                rec.check(True)
-            except TruncationError:
-                rec.check(False, "closure violated")
+            rec.check(not _raises(TruncationError, out.validate), "closure violated")
         a = rand_angle(rng, ctx)
         p, coords = decompose(a, ctx)
         rebuilt = Angle(Fraction(p, M)) + sum(
@@ -465,39 +371,35 @@ def _endo_closure(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("ellis.membership")
-def _ellis_membership(env: CheckEnv, rec: Recorder) -> None:
+def _ellis_membership(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     for _ in range(300):
         m = rng.randint(2, env.m)
         el = rand_element(rng, ctx, m)
-        try:
-            HmElement.validate(ctx, el.comps)
-            rec.check(True)
-        except MembershipError:
-            rec.check(False, "sampled element fails membership")
+        rec.check(
+            not _raises(MembershipError, HmElement.validate, ctx, el.comps),
+            "sampled element fails membership",
+        )
         # tamper: bump a residue off its solution set (none at k = L)
         k = rng.randint(2, m)
         if k == ctx.level:
             continue
-        bad = list(el.comps)
-        bumped = (bad[k].residue + ctx.modulus // factorial(k) - 1) % ctx.modulus
-        bad[k] = TruncEndo(ctx, bumped, bad[k].images)
-        try:
-            HmElement.validate(ctx, bad)
-            rec.check(False, f"tampered residue at k={k} accepted")
-        except MembershipError:
-            rec.check(True)
+        bad = _swap(el, k, el.comps[k].residue + ctx.modulus // factorial(k) - 1)
+        rec.check(
+            _raises(MembershipError, HmElement.validate, ctx, bad.comps),
+            f"tampered residue at k={k} accepted",
+        )
     for n in (-7, -1, 0, 1, 2, 13):
-        try:
-            HmElement.validate(ctx, HmElement.tilde(ctx, n, env.m).comps)
-            rec.check(True)
-        except MembershipError:
-            rec.check(False, f"tilde({n}) fails membership")
+        tilde = HmElement.tilde(ctx, n, env.m)
+        rec.check(
+            not _raises(MembershipError, HmElement.validate, ctx, tilde.comps),
+            f"tilde({n}) fails membership",
+        )
 
 
 @suite("ellis.group")
-def _ellis_group(env: CheckEnv, rec: Recorder) -> None:
+def _ellis_group(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     m = env.m
@@ -512,15 +414,14 @@ def _ellis_group(env: CheckEnv, rec: Recorder) -> None:
         inv = a.inverse()
         rec.check(inv * a == ident and a * inv == ident, "inverse laws")
         for out in (ab, inv):
-            try:
-                HmElement.validate(ctx, out.comps)
-                rec.check(True)
-            except MembershipError:
-                rec.check(False, "closure violated")
+            rec.check(
+                not _raises(MembershipError, HmElement.validate, ctx, out.comps),
+                "closure violated",
+            )
 
 
 @suite("ellis.tilde-hom")
-def _ellis_tilde_hom(env: CheckEnv, rec: Recorder) -> None:
+def _ellis_tilde_hom(env: CheckEnv, rec: SuiteResult) -> None:
     ctx = env.ctx
     m = env.m
     cache = {n: HmElement.tilde(ctx, n, m) for n in range(-40, 41)}
@@ -536,7 +437,7 @@ def _ellis_tilde_hom(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("ellis.iterate-detect")
-def _ellis_iterate_detect(env: CheckEnv, rec: Recorder) -> None:
+def _ellis_iterate_detect(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     for _ in range(200):
@@ -546,27 +447,19 @@ def _ellis_iterate_detect(env: CheckEnv, rec: Recorder) -> None:
         rec.check(el.is_iterate() == n, f"tilde({n}) not detected")
         # perturb one image off the integer-point pattern
         k = rng.randint(1, m)
-        comps = list(el.comps)
-        imgs = list(comps[k].images)
-        imgs[0] = imgs[0] + Angle(0, {ctx.basis.symbols[0]: Fraction(1, ctx.modulus)})
-        comps[k] = TruncEndo(ctx, comps[k].residue, tuple(imgs))
-        rec.check(
-            HmElement(ctx, tuple(comps)).is_iterate() is None,
-            f"perturbed tilde({n}) still detected",
-        )
+        nudge = Angle(0, {ctx.basis.symbols[0]: Fraction(1, ctx.modulus)})
+        off = _swap(el, k, images={0: el.comps[k].images[0] + nudge})
+        rec.check(off.is_iterate() is None, f"perturbed tilde({n}) still detected")
         el2 = rand_element(rng, ctx, m)
         found = el2.is_iterate()
-        if found is not None:
-            rec.check(
-                el2 == HmElement.tilde(ctx, found, m),
-                "is_iterate returned a wrong index",
-            )
-        else:
-            rec.check(True)
+        rec.check(
+            found is None or el2 == HmElement.tilde(ctx, found, m),
+            "is_iterate returned a wrong index",
+        )
 
 
 @suite("ellis.commutator")
-def _ellis_commutator(env: CheckEnv, rec: Recorder) -> None:
+def _ellis_commutator(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     m = env.m
@@ -588,20 +481,15 @@ def _ellis_commutator(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("ellis.central")
-def _ellis_central(env: CheckEnv, rec: Recorder) -> None:
+def _ellis_central(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     m = env.m
     rec.check(HmElement.identity(ctx, m).central_level() == m, "identity level")
     rec.check(HmElement.tilde(ctx, 1, m).central_level() == 0, "tilde(1) level")
-    only_top = [TruncEndo.power(ctx, 1)] + [TruncEndo.power(ctx, 0)] * m
-    only_top[m] = TruncEndo(
-        ctx, 0, tuple(ctx.generator(s) for s in ctx.basis.symbols)
-    )
-    rec.check(
-        HmElement(ctx, tuple(only_top)).central_level() == m - 1,
-        "only-top level",
-    )
+    gens = {i: ctx.generator(s) for i, s in enumerate(ctx.basis.symbols)}
+    only_top = _swap(HmElement.identity(ctx, m), m, images=gens)
+    rec.check(only_top.central_level() == m - 1, "only-top level")
     for _ in range(300):
         k = rng.randint(0, m)
         a = rand_element(rng, ctx, m, trivial_prefix=k)
@@ -614,11 +502,11 @@ def _ellis_central(env: CheckEnv, rec: Recorder) -> None:
         rec.check(a.inverse().central_level() == la, "inverse prefix moved")
 
 
-@suite("ellis.action")
-def _ellis_action(env: CheckEnv, rec: Recorder) -> None:
+@suite("ellis.action", dim=3)
+def _ellis_action(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
-    m = 3
+    m = env.m
     for _ in range(500):
         a = rand_element(rng, ctx, m)
         b = rand_element(rng, ctx, m)
@@ -637,10 +525,10 @@ def _ellis_action(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("ellis.extension")
-def _ellis_extension(env: CheckEnv, rec: Recorder) -> None:
+def _ellis_extension(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
-    x0 = env.system().x0
+    x0 = env.cfg.system().x0
     m = 3  # pairs live one dimension down
     ident = (HmElement.identity(ctx, m - 1), ZERO)
     for _ in range(500):
@@ -657,7 +545,7 @@ def _ellis_extension(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("ellis.roundtrip")
-def _ellis_roundtrip(env: CheckEnv, rec: Recorder) -> None:
+def _ellis_roundtrip(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     for _ in range(100):
@@ -676,7 +564,7 @@ def _ellis_roundtrip(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("dynamics.step")
-def _dynamics_step(env: CheckEnv, rec: Recorder) -> None:
+def _dynamics_step(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     for _ in range(500):
@@ -691,7 +579,7 @@ def _dynamics_step(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("dynamics.iterate")
-def _dynamics_iterate(env: CheckEnv, rec: Recorder) -> None:
+def _dynamics_iterate(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     for _ in range(100):
@@ -711,10 +599,10 @@ def _dynamics_iterate(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("dynamics.orbit-poly")
-def _dynamics_orbit_poly(env: CheckEnv, rec: Recorder) -> None:
+def _dynamics_orbit_poly(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
-    sys = env.system()
+    sys = env.cfg.system()
     m = sys.m
     for _ in range(200):
         x = tuple(rand_free_angle(rng, ctx) for _ in range(m))
@@ -747,7 +635,7 @@ def _dynamics_orbit_poly(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("dynamics.q-map")
-def _dynamics_q_map(env: CheckEnv, rec: Recorder) -> None:
+def _dynamics_q_map(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     m = env.m
@@ -777,9 +665,9 @@ def _dynamics_q_map(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("dynamics.diagonal")
-def _dynamics_diagonal(env: CheckEnv, rec: Recorder) -> None:
+def _dynamics_diagonal(env: CheckEnv, rec: SuiteResult) -> None:
     ctx = env.ctx
-    sys = env.system()
+    sys = env.cfg.system()
     for k in range(1, sys.m + 1):
         chain = diagonal_representation(sys, CharacterIndex.basis(k))
         rec.check(
@@ -790,18 +678,17 @@ def _dynamics_diagonal(env: CheckEnv, rec: Recorder) -> None:
         diagonal_representation(sys, CharacterIndex.make({})) == [],
         "trivial character chain",
     )
-    try:
-        diagonal_representation(sys, CharacterIndex.make({1: 2}))
-        rec.check(False, "non-canonical character accepted")
-    except ValueError:
-        rec.check(True)
+    rec.check(
+        _raises(ValueError, diagonal_representation, sys, CharacterIndex.make({1: 2})),
+        "non-canonical character accepted",
+    )
 
 
 # -------------------------------------------------------------------- weyl
 
 
 @suite("weyl.phase-exact")
-def _weyl_phase_exact(env: CheckEnv, rec: Recorder) -> None:
+def _weyl_phase_exact(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     basis = env.basis
@@ -822,7 +709,7 @@ def _weyl_phase_exact(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("weyl.determinism")
-def _weyl_determinism(env: CheckEnv, rec: Recorder) -> None:
+def _weyl_determinism(env: CheckEnv, rec: SuiteResult) -> None:
     basis = env.basis
     p = PolyAngle.parse("1*b1*C(n,2)")
     for N in (1, 7, 4095, 4096, 4097, 10_000):
@@ -839,7 +726,7 @@ def _weyl_determinism(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("weyl.irrational-null")
-def _weyl_irrational_null(env: CheckEnv, rec: Recorder) -> None:
+def _weyl_irrational_null(env: CheckEnv, rec: SuiteResult) -> None:
     cfg = env.cfg
     basis = env.basis
     p = PolyAngle([ZERO, ZERO, Angle(0, {cfg.x_symbol: 1})])
@@ -854,7 +741,7 @@ def _weyl_irrational_null(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("weyl.rational-exact")
-def _weyl_rational_exact(env: CheckEnv, rec: Recorder) -> None:
+def _weyl_rational_exact(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     basis = env.basis
     for _ in range(8):
@@ -868,12 +755,8 @@ def _weyl_rational_exact(env: CheckEnv, rec: Recorder) -> None:
         t = minimal_period(p)
         rec.check(t is not None and p.shift(t) == p, "period does not fix p")
         assert t is not None
-        for s in range(1, t):
-            if p.shift(s) == p:
-                rec.check(False, f"period {t} is not minimal ({s} works)")
-                break
-        else:
-            rec.check(True)
+        s = next((s for s in range(1, t) if p.shift(s) == p), None)
+        rec.check(s is None, f"period {t} is not minimal ({s} works)")
         N = t * max(1, 1000 // t)
         avg = weyl_average(p, N, 0, basis)
         target = equidistribution_target(p, basis)
@@ -884,7 +767,7 @@ def _weyl_rational_exact(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("weyl.decay")
-def _weyl_decay(env: CheckEnv, rec: Recorder) -> None:
+def _weyl_decay(env: CheckEnv, rec: SuiteResult) -> None:
     basis = env.basis
     p = PolyAngle.parse("1*b1*C(n,2)")
     small = abs(weyl_average(p, 1000, 0, basis))
@@ -896,7 +779,7 @@ def _weyl_decay(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("weyl.targets")
-def _weyl_targets(env: CheckEnv, rec: Recorder) -> None:
+def _weyl_targets(env: CheckEnv, rec: SuiteResult) -> None:
     basis = env.basis
     cfg = env.cfg
     const = PolyAngle([Angle(Fraction(1, 3))])
@@ -915,27 +798,16 @@ def _weyl_targets(env: CheckEnv, rec: Recorder) -> None:
     rec.check(minimal_period(lin) == 2, "rational linear period")
     irr = PolyAngle([ZERO, Angle(0, {cfg.x_symbol: 1})])
     rec.check(minimal_period(irr) is None, "irrational polynomial period")
-    sys = env.system()
+    sys = cfg.system()
     rep = unique_ergodicity_check(
-        sys,
-        CharacterIndex.basis(sys.m),
-        (ZERO,) * sys.m,
-        20_000,
-        (0, 10**6),
-        cfg.tol,
-        basis,
+        sys, CharacterIndex.basis(sys.m), (ZERO,) * sys.m, 20_000, (0, 10**6),
+        cfg.tol, basis,
     )
     rec.check(rep.target == 0j, "orbit character target")
     rec.check(rep.passed, "orbit character report fails")
     periodic = BasicSystem(2, Angle(Fraction(1, 5)))
     rep2 = unique_ergodicity_check(
-        periodic,
-        CharacterIndex.basis(2),
-        (ZERO, ZERO),
-        1000,
-        (0,),
-        cfg.tol,
-        basis,
+        periodic, CharacterIndex.basis(2), (ZERO, ZERO), 1000, (0,), cfg.tol, basis
     )
     rec.check(abs(rep2.target) > 0.1, "torsion base target should be nonzero")
     rec.check(rep2.passed, "torsion base report fails")
@@ -944,58 +816,43 @@ def _weyl_targets(env: CheckEnv, rec: Recorder) -> None:
 # ------------------------------------------------------------------ factor
 
 
-@suite("factor.membership")
-def _factor_membership(env: CheckEnv, rec: Recorder) -> None:
+@suite("factor.membership", dim="factor_m")
+def _factor_membership(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
-    fac = env.factor()
-    ctx = fac.ctx
-    xi = ctx.basis.index_of(fac.x_symbol)
+    fac = env.cfg.factor()
+    xi = fac.ctx.basis.index_of(fac.x_symbol)
     for _ in range(500):
-        g1a = rand_g1(rng, fac)
-        g1b = rand_g1(rng, fac)
-        rec.check(g1_member(g1a, fac), "sampler misses the outer subgroup")
-        rec.check(
-            g1_member(g1a * g1b, fac), "outer subgroup not closed under star"
-        )
-        rec.check(
-            g1_member(g1a.inverse(), fac), "outer subgroup not closed under inverse"
-        )
-        ga = rand_g(rng, fac)
-        gb = rand_g(rng, fac)
-        rec.check(g_member(ga, fac), "sampler misses the inner subgroup")
-        rec.check(g_member(ga * gb, fac), "inner subgroup not closed under star")
-        rec.check(
-            g_member(ga.inverse(), fac), "inner subgroup not closed under inverse"
-        )
+        for in_g, member, sub in (False, g1_member, "outer"), (True, g_member, "inner"):
+            a = rand_g1(rng, fac, in_g)
+            b = rand_g1(rng, fac, in_g)
+            rec.check(member(a, fac), f"sampler misses the {sub} subgroup")
+            rec.check(member(a * b, fac), f"{sub} subgroup not closed under star")
+            rec.check(
+                member(a.inverse(), fac), f"{sub} subgroup not closed under inverse"
+            )
     # perturbations break membership
-    el = rand_g(rng, fac)
-    comps = list(el.comps)
-    imgs = list(comps[1].images)
-    imgs[xi] = imgs[xi] + Angle(Fraction(1, 3))  # representable at level >= 3
-    comps[1] = TruncEndo(ctx, 0, tuple(imgs))
+    el = rand_g1(rng, fac, in_g=True)
+    # a third-turn is representable at level >= 3
+    third = el.comps[1].images[xi] + Angle(Fraction(1, 3))
     rec.check(
-        not g1_member(HmElement(ctx, tuple(comps)), fac),
+        not g1_member(_swap(el, 1, images={xi: third}), fac),
         "third-turn at x accepted in the outer subgroup",
     )
-    comps = list(el.comps)
-    imgs = list(comps[2].images)
-    imgs[xi] = Angle(Fraction(1, 2))
-    comps[2] = TruncEndo(ctx, 0, tuple(imgs))
     rec.check(
-        not g_member(HmElement(ctx, tuple(comps)), fac),
+        not g_member(_swap(el, 2, images={xi: Angle(Fraction(1, 2))}), fac),
         "half-turn of x at degree 2 accepted in the inner subgroup",
     )
 
 
-@suite("factor.cosets")
-def _factor_cosets(env: CheckEnv, rec: Recorder) -> None:
+@suite("factor.cosets", dim="factor_m")
+def _factor_cosets(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
-    fac = env.factor()
+    fac = env.cfg.factor()
     half = Angle(Fraction(1, 2))
     for _ in range(300):
         phi = rand_element(rng, fac.ctx, fac.m)
         if rng.random() < 0.5:
-            psi = phi * rand_g(rng, fac)  # same coset by construction
+            psi = phi * rand_g1(rng, fac, in_g=True)  # same coset by construction
         else:
             psi = rand_element(rng, fac.ctx, fac.m)
         rec.check(
@@ -1013,16 +870,16 @@ def _factor_cosets(env: CheckEnv, rec: Recorder) -> None:
         )
 
 
-@suite("factor.coset-constancy")
-def _factor_constancy(env: CheckEnv, rec: Recorder) -> None:
+@suite("factor.coset-constancy", dim="factor_m")
+def _factor_constancy(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
-    fac = env.factor()
+    fac = env.cfg.factor()
     family = qef_index_family(fac)
     constant = [v for v in family if qef_coset_constant(v, fac)]
     rec.check(len(constant) >= 20, "family has too few constant vectors")
     for _ in range(50):
         phi = rand_element(rng, fac.ctx, fac.m)
-        psi = phi * rand_g(rng, fac)
+        psi = phi * rand_g1(rng, fac, in_g=True)
         for v in constant:
             rec.check(
                 q_eval(v, phi) == q_eval(v, psi),
@@ -1050,9 +907,9 @@ def _factor_constancy(env: CheckEnv, rec: Recorder) -> None:
     )
 
 
-@suite("factor.nonseparation")
-def _factor_nonseparation(env: CheckEnv, rec: Recorder) -> None:
-    fac = env.factor()
+@suite("factor.nonseparation", dim="factor_m")
+def _factor_nonseparation(env: CheckEnv, rec: SuiteResult) -> None:
+    fac = env.cfg.factor()
     witness, report = nonseparation_witness(fac)
     rec.check(report.witness_valid, "witness fails membership")
     rec.check(report.cosets_distinct, "witness coset equals the identity coset")
@@ -1065,45 +922,36 @@ def _factor_nonseparation(env: CheckEnv, rec: Recorder) -> None:
     rec.check(not g_member(witness, fac), "witness is in the inner subgroup")
 
 
-@suite("kernel.membership")
-def _kernel_membership(env: CheckEnv, rec: Recorder) -> None:
+@suite("kernel.membership", dim="factor_m")
+def _kernel_membership(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
-    fac = env.factor()
+    fac = env.cfg.factor()
     ctx = fac.ctx
+    gen = ctx.generator(ctx.basis.symbols[0])
     for spec in default_kernel_specs(fac):
         for _ in range(100):
             g = rand_kernel_member(rng, ctx, spec, fac.m)
             rec.check(
                 kernel_member(g, spec), f"sampler misses kernel m={spec.m}"
             )
-            if spec.m >= 2:
-                comps = list(g.comps)
-                comps[1] = TruncEndo.make(
-                    ctx, 0, {ctx.basis.symbols[0]: ctx.generator(
-                        ctx.basis.symbols[0])}
-                )
+            if spec.m >= 2:  # component 1 is the zero map
                 rec.check(
-                    not kernel_member(HmElement(ctx, tuple(comps)), spec),
+                    not kernel_member(_swap(g, 1, images={0: gen}), spec),
                     f"nontrivial low component accepted, m={spec.m}",
                 )
             if spec.gamma:
-                comps = list(g.comps)
-                bumped = (comps[spec.m].residue + 1) % ctx.modulus
-                imgs = tuple(
-                    img + ctx.generator(ctx.basis.symbols[0])
-                    for img in comps[spec.m].images
-                )
-                comps[spec.m] = TruncEndo(ctx, bumped, imgs)
+                top = g.comps[spec.m]
+                moved = {i: img + gen for i, img in enumerate(top.images)}
                 rec.check(
-                    not kernel_member(HmElement(ctx, tuple(comps)), spec),
+                    not kernel_member(_swap(g, spec.m, top.residue + 1, moved), spec),
                     f"perturbed top component accepted, m={spec.m}",
                 )
 
 
-@suite("kernel.normality")
-def _kernel_normality(env: CheckEnv, rec: Recorder) -> None:
+@suite("kernel.normality", dim="factor_m")
+def _kernel_normality(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
-    fac = env.factor()
+    fac = env.cfg.factor()
     ctx = fac.ctx
     for spec in default_kernel_specs(fac):
         for _ in range(200):
@@ -1120,7 +968,7 @@ def _kernel_normality(env: CheckEnv, rec: Recorder) -> None:
 
 
 @suite("cli.roundtrip")
-def _cli_roundtrip(env: CheckEnv, rec: Recorder) -> None:
+def _cli_roundtrip(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     ctx = env.ctx
     for _ in range(300):

@@ -14,21 +14,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
-from .checks import rand_element, rand_kernel_member, run_suites
+from .checks import run_suites
 from .circle import Angle, ZERO, format_point, parse_point
 from .config import Config, load_config
 from .dynamics import BasicSystem, CharacterIndex, PolyAngle, orbit_polynomial
 from .ellis import HmElement, commutator, predicted_commutator
 from .errors import ConfigurationError, SkewtorusError
-from .factor_lab import (
-    FactorConfig,
-    default_kernel_specs,
-    kernel_member,
-    nonseparation_witness,
-)
+from .factor_lab import default_kernel_specs, kernel_member, nonseparation_witness
+from .samplers import rand_element, rand_kernel_member
 from .weyl import MAX_SAMPLES, equidistribution_report
 
 import random
@@ -37,6 +34,10 @@ import random
 # microseconds a step), so |n| above this cap exits 3 instead of running
 # for minutes.
 ORACLE_MAX_STEPS = 100_000
+
+# `factor-lab kernel` spends about 0.7 ms per sample on each of its three
+# kernel specs (2 vCPUs), so the cap bounds a run to about 20 s.
+KERNEL_MAX_SAMPLES = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +78,7 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
     out = []
     for part in text.split(","):
         part = part.strip()
-        if not part.lstrip("-").isdigit():
+        if not re.fullmatch(r"-?[0-9]+", part):
             raise ConfigurationError(f"bad shift value {part!r}")
         k = int(part)
         if k < 0:
@@ -211,6 +212,10 @@ def _cmd_factor_demo(args: argparse.Namespace) -> int:
 def _cmd_factor_kernel(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples > KERNEL_MAX_SAMPLES:
+        raise ConfigurationError(
+            f"--samples = {args.samples} exceeds the cap of {KERNEL_MAX_SAMPLES}"
+        )
     cfg = load_config(args.config)
     seed = _need_seed(args, cfg)
     fac = cfg.factor()
@@ -342,7 +347,10 @@ def build_parser() -> _Parser:
     d.set_defaults(func=_cmd_factor_demo)
     k = lab.add_parser("kernel", help="kernel membership and normality")
     add_config(k)
-    k.add_argument("--samples", type=int, default=50, help="samples per spec (>= 1)")
+    k.add_argument(
+        "--samples", type=int, default=50,
+        help=f"samples per spec (1 to {KERNEL_MAX_SAMPLES})",
+    )
     k.add_argument("--seed", type=int, default=None)
     k.set_defaults(func=_cmd_factor_kernel)
 

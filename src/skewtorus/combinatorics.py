@@ -35,12 +35,14 @@ def binomial_shift(coeffs: Sequence, t: int) -> list:
     """Coefficients of p(n + t) for p(n) = sum_j binom(n, j) * coeffs[j].
 
     Entry i is sum_{j >= i} binom(t, j - i) * coeffs[j], over any Z-module
-    (ints, angles); zero terms are skipped.
+    (ints, angles); zero terms are skipped.  Each binom(t, k) is computed
+    once, so d coefficients cost d binomials, not d^2 / 2.
     """
+    bs = [binom(t, k) for k in range(len(coeffs))]
     out = []
     for i, val in enumerate(coeffs):  # the j = i term has binom(t, 0) = 1
         for j in range(i + 1, len(coeffs)):
-            b = binom(t, j - i)
+            b = bs[j - i]
             if b and coeffs[j]:
                 val = val + b * coeffs[j]
         out.append(val)

@@ -32,10 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .circle import Angle, ZERO, parse_binomial_sum
+from .circle import MAX_BINOM_K, Angle, ZERO, parse_binomial_sum
 from .combinatorics import binom, binomial_shift
 from .ellis import HmElement
 from .errors import ConfigurationError, RelationError
+
+
+# Largest tower dimension.  A dense orbit costs O(m^2) angle additions
+# per iterate, and `weyl --char k` builds a degree-k orbit polynomial, so
+# the cap matches the parser's degree cap.
+MAX_SYSTEM_M = MAX_BINOM_K
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,11 @@ class BasicSystem:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ConfigurationError(f"system dimension must be >= 1, got {self.m}")
+        if self.m > MAX_SYSTEM_M:
+            raise ConfigurationError(
+                f"system dimension must be at most MAX_SYSTEM_M = {MAX_SYSTEM_M}, "
+                f"got {self.m}"
+            )
 
     def _check_len(self, x: Sequence[Angle]) -> None:
         if len(x) != self.m:

@@ -10,8 +10,9 @@ import time
 
 import pytest
 
-from skewtorus.cli import ORACLE_MAX_STEPS, main
+from skewtorus.cli import KERNEL_MAX_SAMPLES, ORACLE_MAX_STEPS, main
 from skewtorus.config import MAX_LEVEL, Config
+from skewtorus.dynamics import MAX_SYSTEM_M
 from skewtorus.ellis import HmElement
 from skewtorus.weyl import MAX_SAMPLES
 
@@ -52,9 +53,13 @@ def test_iterate_oracle_is_capped(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"|n| = {cap + 1} exceeds the cap of {cap}" in err
-    # closed-form iteration alone has no cap
+    # closed-form iteration alone has no cap on n, only on the dimension
     assert main(["iterate", "--n", str(10**12)]) == 0
     capsys.readouterr()
+    assert main(["iterate", "--m", str(MAX_SYSTEM_M + 1), "--n", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"at most MAX_SYSTEM_M = {MAX_SYSTEM_M}, got {MAX_SYSTEM_M + 1}" in err
 
 
 def test_iterate_torsion_base_notes_period(capsys):
@@ -118,6 +123,11 @@ def test_weyl_argument_validation(capsys):
     )
     assert main(["weyl", "--char", "5", "--N", "10"]) == 3  # system has m=2
     capsys.readouterr()
+    # shift values are ASCII digits only
+    for shifts in ["١٢", "²", "--5"]:
+        argv = ["weyl", "--poly", "b1*C(n,1)", "--N", "10", f"--shifts={shifts}"]
+        assert main(argv) == 3
+        assert f"bad shift value {shifts!r}" in capsys.readouterr().err
 
 
 def test_weyl_rejects_a_non_finite_tolerance(tmp_path, capsys):
@@ -272,12 +282,17 @@ def test_factor_lab_kernel(capsys):
 
 
 def test_factor_lab_kernel_rejects_zero_samples(capsys):
-    for samples in ["0", "-5"]:
+    cap = KERNEL_MAX_SAMPLES
+    for samples, message in [
+        ("0", "--samples must be >= 1, got 0"),
+        ("-5", "--samples must be >= 1, got -5"),
+        (str(cap + 1), f"--samples = {cap + 1} exceeds the cap of {cap}"),
+    ]:
         argv = ["factor-lab", "kernel", "--seed", "5", "--samples", samples]
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"--samples must be >= 1, got {samples}" in err
+        assert message in err
 
 
 def test_factor_lab_requires_subcommand(capsys):
@@ -345,6 +360,12 @@ def test_check_runs_below_level_five(tmp_path, capsys):
     path.write_text(json.dumps({"level": 2}))
     assert main(["check", "ellis.action", "--seed", "1", "--config", str(path)]) == 3
     assert "need 1 <= m <= level, got m=3" in capsys.readouterr().err
+    # a selection holding such a suite is refused before any suite runs
+    assert main(["check", "all", "--seed", "1", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ellis.action" in err
+    assert "need 1 <= m <= level, got m=3" in err
 
 
 def test_config_file_and_env(tmp_path, monkeypatch, capsys):
@@ -377,6 +398,7 @@ def test_config_rejections(tmp_path, capsys):
         {"shifts": [-1]},
         {"system": {"x0": "??"}},
         {"system": {"m": 2, "mystery": 1}},
+        {"system": {"m": MAX_SYSTEM_M + 1}},
         {"tol": -0.5},
         {"tol": 10**400},  # an int too large for a float
         {"x_symbol": "zz"},  # not a basis symbol
@@ -393,6 +415,7 @@ def test_config_rejections(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "level must be an integer >= 2, got 1" in err
     assert "unknown config keys: ['system.mystery']" in err
+    assert f"at most MAX_SYSTEM_M = {MAX_SYSTEM_M}, got {MAX_SYSTEM_M + 1}" in err
     assert "tol must be a positive finite number, got -0.5" in err
     assert "x_symbol must be a symbol of the basis, got 'zz'" in err
     assert "factor_m must be an integer from 2 to the level, got 5" in err

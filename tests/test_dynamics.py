@@ -10,6 +10,7 @@ import pytest
 
 from skewtorus.circle import MAX_BINOM_K, Angle, BasisDecl, ZERO
 from skewtorus.dynamics import (
+    MAX_SYSTEM_M,
     BasicSystem,
     CharacterIndex,
     PolyAngle,
@@ -78,6 +79,9 @@ def test_system_guards():
         sys.iterate((ZERO, ZERO, ZERO), 1)
     with pytest.raises(ConfigurationError):
         BasicSystem(0, B1)
+    with pytest.raises(ConfigurationError):
+        BasicSystem(MAX_SYSTEM_M + 1, B1)
+    assert BasicSystem(MAX_SYSTEM_M, B1).m == MAX_SYSTEM_M
     assert sys.minimal_base
     assert not BasicSystem(2, Angle(F(1, 4))).minimal_base
 
