@@ -5,7 +5,8 @@ random.Random seeded with "<seed>:<suite-name>", so any suite can be
 rerun in isolation and `check all` output is byte-reproducible for a
 fixed seed.  Suites record their cases in a SuiteResult; the runner
 times them, runs them sorted by suite id, and refuses a selection whose
-declared element dimension exceeds the level before any suite starts.
+declared element dimension exceeds the level, or whose declared minimum
+level is above it, before any suite starts.
 """
 
 from __future__ import annotations
@@ -110,22 +111,30 @@ class CheckEnv:
 
 
 SuiteFn = Callable[[CheckEnv, SuiteResult], None]
-REGISTRY: dict[str, tuple[SuiteFn, int | str | None]] = {}
+REGISTRY: dict[str, tuple[SuiteFn, int | str | None, int]] = {}
 
 
-def suite(name: str, dim: int | str | None = None) -> Callable[[SuiteFn], SuiteFn]:
+def suite(
+    name: str, dim: int | str | None = None, level: int = 2
+) -> Callable[[SuiteFn], SuiteFn]:
     """Register a suite building elements of dimension dim: a number, the
-    name of a Config field, or None for min(4, level), which always fits."""
+    name of a Config field, or None for min(4, level), which always fits.
+    ``level`` is the lowest truncation level the suite's fixed angles need."""
 
     def register(fn: SuiteFn) -> SuiteFn:
-        REGISTRY[name] = (fn, dim)
+        REGISTRY[name] = (fn, dim, level)
         return fn
 
     return register
 
 
 def _dimension(name: str, cfg: Config) -> int:
-    dim = REGISTRY[name][1]
+    _, dim, min_level = REGISTRY[name]
+    if cfg.level < min_level:
+        raise ConfigurationError(
+            f"check suite {name} cannot run at level {cfg.level}: "
+            f"needs level >= {min_level}"
+        )
     if dim is None:
         return min(4, cfg.level)
     m = getattr(cfg, dim) if isinstance(dim, str) else dim
@@ -816,7 +825,7 @@ def _weyl_targets(env: CheckEnv, rec: SuiteResult) -> None:
 # ------------------------------------------------------------------ factor
 
 
-@suite("factor.membership", dim="factor_m")
+@suite("factor.membership", dim="factor_m", level=3)
 def _factor_membership(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
     fac = env.cfg.factor()

@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ConfigurationError, ParseError
@@ -86,8 +87,52 @@ class BasisDecl:
         return self.values[self.index_of(symbol)]
 
 
+def _exact(x: RationalLike) -> Fraction:
+    """x as a Fraction; floats and other non-rationals are refused."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise TypeError(f"angle entries must be int or Fraction, got {type(x).__name__} {x!r}")
+
+
+def _combine(
+    xs: tuple[tuple[str, Fraction], ...],
+    ys: tuple[tuple[str, Fraction], ...],
+    sub: bool,
+) -> tuple[tuple[str, Fraction], ...]:
+    """Coefficients of x + y (or x - y with ``sub``) from two normal-form
+    tuples: one merge pass, adding only on shared symbols, zeros dropped."""
+    if not ys:
+        return xs
+    if not xs and not sub:
+        return ys
+    out = []
+    i, nx = 0, len(xs)
+    for t, d in ys:
+        while i < nx and xs[i][0] < t:
+            out.append(xs[i])
+            i += 1
+        if i < nx and xs[i][0] == t:
+            c = xs[i][1] - d if sub else xs[i][1] + d
+            i += 1
+            if c:
+                out.append((t, c))
+        else:
+            out.append((t, -d) if sub else (t, d))
+    out.extend(xs[i:])
+    return tuple(out)
+
+
 class Angle:
-    """Immutable exact circle element, written additively."""
+    """Immutable exact circle element, written additively.
+
+    The normal form is ``rat`` a Fraction in [0, 1) and ``coeffs`` a
+    tuple of (symbol, nonzero Fraction) strictly sorted by symbol.  The
+    public constructor normalises any input; the arithmetic combines
+    operands already in normal form and builds its result through
+    :meth:`_make`, reducing ``rat`` with at most one step.
+    """
 
     __slots__ = ("rat", "coeffs")
 
@@ -98,18 +143,34 @@ class Angle:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         merged: dict[str, Fraction] = {}
         for sym, c in items:
-            c = Fraction(c)
+            c = _exact(c)
             if c:
-                acc = merged.get(sym, Fraction(0)) + c
+                acc = merged.get(sym, 0) + c
                 if acc:
                     merged[sym] = acc
                 elif sym in merged:
                     del merged[sym]
-        object.__setattr__(self, "rat", Fraction(rat) % 1)
+        rat = _exact(rat)
+        if not 0 <= rat < 1:
+            rat %= 1
+        object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "coeffs", tuple(sorted(merged.items())))
+
+    @classmethod
+    def _make(
+        cls, rat: Fraction, coeffs: tuple[tuple[str, Fraction], ...]
+    ) -> "Angle":
+        """Trusted constructor: the arguments are already in normal form."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "rat", rat)
+        object.__setattr__(a, "coeffs", coeffs)
+        return a
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Angle is immutable")
+
+    def __reduce__(self) -> tuple:
+        return Angle, (self.rat, self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Angle):
@@ -125,21 +186,30 @@ class Angle:
     def __add__(self, other: "Angle") -> "Angle":
         if not isinstance(other, Angle):
             return NotImplemented
-        return Angle(self.rat + other.rat, list(self.coeffs) + list(other.coeffs))
+        rat = self.rat + other.rat
+        if rat >= 1:
+            rat -= 1
+        return Angle._make(rat, _combine(self.coeffs, other.coeffs, False))
 
     def __neg__(self) -> "Angle":
-        return Angle(-self.rat, [(s, -c) for s, c in self.coeffs])
+        rat = 1 - self.rat if self.rat else self.rat
+        return Angle._make(rat, tuple([(s, -c) for s, c in self.coeffs]))
 
     def __sub__(self, other: "Angle") -> "Angle":
         if not isinstance(other, Angle):
             return NotImplemented
-        return self + (-other)
+        rat = self.rat - other.rat
+        if rat < 0:
+            rat += 1
+        return Angle._make(rat, _combine(self.coeffs, other.coeffs, True))
 
     def __rmul__(self, n: int) -> "Angle":
         # Z-module structure only; rational scaling is ill-defined on torsion
         if not isinstance(n, int):
             return NotImplemented
-        return Angle(n * self.rat, [(s, n * c) for s, c in self.coeffs])
+        if not n:
+            return ZERO
+        return Angle._make(n * self.rat % 1, tuple([(s, n * c) for s, c in self.coeffs]))
 
     __mul__ = __rmul__
 

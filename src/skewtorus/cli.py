@@ -30,13 +30,16 @@ from .weyl import MAX_SAMPLES, equidistribution_report
 
 import random
 
-# `iterate --oracle` re-runs the orbit one step at a time (tens of
-# microseconds a step), so |n| above this cap exits 3 instead of running
-# for minutes.
+# `iterate --oracle` re-runs the orbit one step at a time, about 10-15 us
+# per coordinate step (Python 3.11, 2 vCPUs).  Both |n| and the number of
+# coordinate steps |n|*m are capped, so a run takes a few seconds at most
+# and a larger one exits 3; at the default m = 2 the two caps coincide.
 ORACLE_MAX_STEPS = 100_000
+ORACLE_MAX_COORD_STEPS = 2 * ORACLE_MAX_STEPS
 
-# `factor-lab kernel` spends about 0.7 ms per sample on each of its three
-# kernel specs (2 vCPUs), so the cap bounds a run to about 20 s.
+# `factor-lab kernel` spends about 0.7 ms per sample on each kernel spec
+# (three at the default factor_m = 3; 2 vCPUs), so the cap bounds a run to
+# about 20 s.
 KERNEL_MAX_SAMPLES = 10_000
 
 
@@ -109,6 +112,11 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         )
     cfg = load_config(args.config)
     m = args.m if args.m is not None else cfg.system_m
+    if args.oracle and abs(args.n) * m > ORACLE_MAX_COORD_STEPS:
+        raise ConfigurationError(
+            f"--oracle takes |n| steps of m coordinates; |n|*m = {abs(args.n)}*{m} "
+            f"= {abs(args.n) * m} exceeds the cap of {ORACLE_MAX_COORD_STEPS}"
+        )
     x0 = Angle.parse(args.x0) if args.x0 is not None else cfg.system().x0
     sys_ = BasicSystem(m, x0)
     point = parse_point(args.point) if args.point else (ZERO,) * m

@@ -166,6 +166,9 @@ class PolyAngle:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PolyAngle is immutable")
 
+    def __reduce__(self) -> tuple:
+        return PolyAngle, (self.coeffs,)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

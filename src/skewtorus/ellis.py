@@ -164,9 +164,7 @@ class HmElement:
         out = []
         for k in range(self.m + 1):
             terms = [self.comps[k - j]._apply(v) for j, v in enumerate(vecs[: k + 1]) if any(v)]
-            total = [sum(col) for col in zip(zero, *terms)]
-            total[0] %= ctx.modulus
-            out.append(ctx.angle(total))
+            out.append(ctx.angle([sum(col) for col in zip(zero, *terms)]))
         return tuple(out)
 
     def to_dict(self) -> dict:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Mapping, Sequence, Union
 
 from .circle import Angle, BasisDecl
@@ -55,6 +55,8 @@ class TruncationContext:
     level: int
     basis: BasisDecl
     modulus: int = field(init=False, repr=False, compare=False)
+    # (row column, symbol) for each declared symbol, in symbol order
+    _columns: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.level < 2:
@@ -62,6 +64,8 @@ class TruncationContext:
                 f"truncation level must be >= 2, got {self.level}"
             )
         object.__setattr__(self, "modulus", factorial(self.level))
+        columns = sorted(enumerate(self.basis.symbols, start=1), key=itemgetter(1))
+        object.__setattr__(self, "_columns", tuple(columns))
 
     def generator(self, symbol: str) -> Angle:
         """The represented generator b/L! for a declared symbol."""
@@ -79,8 +83,8 @@ class TruncationContext:
     def angle(self, row: Sequence[int]) -> Angle:
         """The angle that an integer row stands for."""
         M = self.modulus
-        coeffs = [(s, Fraction(c, M)) for s, c in zip(self.basis.symbols, row[1:]) if c]
-        return Angle(Fraction(row[0], M), coeffs)
+        coeffs = tuple([(s, Fraction(row[j], M)) for j, s in self._columns if row[j]])
+        return Angle._make(Fraction(row[0] % M, M), coeffs)
 
 
 def minimal_level(a: Angle) -> int:
@@ -112,8 +116,8 @@ def decompose(a: Angle, ctx: TruncationContext) -> tuple[int, dict[str, int]]:
     coords: dict[str, int] = {}
     for sym, c in a.coeffs:
         ctx.basis.index_of(sym)
-        coords[sym] = int(c * M)
-    return int(a.rat * M), coords
+        coords[sym] = c.numerator * (M // c.denominator)
+    return a.rat.numerator * (M // a.rat.denominator), coords
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

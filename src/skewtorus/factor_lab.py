@@ -319,11 +319,9 @@ def kernel_member(phi: HmElement, spec: KernelSpec) -> bool:
 
 
 def default_kernel_specs(cfg: FactorConfig) -> list[KernelSpec]:
-    """The three standard kernels: torsion-killing, point-killing, both."""
+    """The standard kernels that fit dimension cfg.m: torsion-killing,
+    point-killing, both (at m = 1, 2, 3)."""
     t = cfg.ctx.torsion_generator()
     x = cfg.point
-    return [
-        KernelSpec(1, (t,)),
-        KernelSpec(2, (x,)),
-        KernelSpec(3, (x, t)),
-    ]
+    specs = [KernelSpec(1, (t,)), KernelSpec(2, (x,)), KernelSpec(3, (x, t))]
+    return [spec for spec in specs if spec.m <= cfg.m]

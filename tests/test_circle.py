@@ -1,6 +1,9 @@
 """Exact circle arithmetic, parsing, and the single float boundary."""
 
 import cmath
+import copy
+import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -109,6 +112,29 @@ def test_angle_is_hashable_value_object():
     assert len({a, b}) == 1
     with pytest.raises(AttributeError):
         a.rat = F(0)
+
+
+def test_float_entries_are_refused():
+    # Fraction(0.1) would silently be 3602879701896397/36028797018963968
+    for bad in (0.1, 0.5, 0.0, float("nan"), Decimal("0.1"), "1/2"):
+        with pytest.raises(TypeError):
+            Angle(bad)
+        with pytest.raises(TypeError):
+            Angle(0, {"b1": bad})
+        with pytest.raises(TypeError):
+            Angle(F(1, 2), [("b1", 1), ("b2", bad)])
+    assert Angle(True, {"b1": F(1, 2)}) == Angle(0, {"b1": F(1, 2)})
+
+
+def test_angle_copies_and_pickles():
+    for a in (ZERO, Angle(F(1, 3), {"b1": F(-2, 7), "b2": 5})):
+        dups = [copy.copy(a), copy.deepcopy(a)]
+        dups += [pickle.loads(pickle.dumps(a, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for dup in dups:
+            assert dup == a and hash(dup) == hash(a) and str(dup) == str(a)
+            assert type(dup.rat) is Fraction and dup.coeffs == a.coeffs
+            with pytest.raises(AttributeError):
+                dup.rat = F(0)
 
 
 @pytest.fixture()

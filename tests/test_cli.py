@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from skewtorus.cli import KERNEL_MAX_SAMPLES, ORACLE_MAX_STEPS, main
+from skewtorus.cli import KERNEL_MAX_SAMPLES, ORACLE_MAX_COORD_STEPS, ORACLE_MAX_STEPS, main
 from skewtorus.config import MAX_LEVEL, Config
 from skewtorus.dynamics import MAX_SYSTEM_M
 from skewtorus.ellis import HmElement
@@ -53,6 +53,13 @@ def test_iterate_oracle_is_capped(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"|n| = {cap + 1} exceeds the cap of {cap}" in err
+    # the work is bounded by coordinate steps too: |n|*m <= 2 * cap
+    assert ORACLE_MAX_COORD_STEPS == 2 * cap
+    for n in (cap, ORACLE_MAX_COORD_STEPS // 64 + 1):
+        assert main(["iterate", "--m", "64", "--n", str(-n), "--oracle"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"|n|*m = {n}*64 = {n * 64} exceeds the cap of {ORACLE_MAX_COORD_STEPS}" in err
     # closed-form iteration alone has no cap on n, only on the dimension
     assert main(["iterate", "--n", str(10**12)]) == 0
     capsys.readouterr()
@@ -281,6 +288,21 @@ def test_factor_lab_kernel(capsys):
     assert rows[3] == {"summary": True, "pass": True, "seed": 5}
 
 
+def test_kernel_commands_run_at_factor_m_two(tmp_path, capsys):
+    # only the kernels of dimension <= factor_m are built
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps({"level": 3, "factor_m": 2}))
+    argv = ["factor-lab", "kernel", "--seed", "1", "--samples", "3", "--config", str(path)]
+    assert main(argv) == 0
+    rows = lines(capsys.readouterr().out)
+    assert [r.get("spec_m") for r in rows[:-1]] == [1, 2]
+    assert rows[-1] == {"summary": True, "pass": True, "seed": 1}
+    assert main(["check", "kernel", "--seed", "1", "--config", str(path)]) == 0
+    rows = lines(capsys.readouterr().out)
+    assert [r["suite"] for r in rows[:-1]] == ["kernel.membership", "kernel.normality"]
+    assert all(row["pass"] for row in rows)
+
+
 def test_factor_lab_kernel_rejects_zero_samples(capsys):
     cap = KERNEL_MAX_SAMPLES
     for samples, message in [
@@ -366,6 +388,18 @@ def test_check_runs_below_level_five(tmp_path, capsys):
     assert out == ""
     assert "ellis.action" in err
     assert "need 1 <= m <= level, got m=3" in err
+    # factor.membership perturbs by a third-turn, so it declares level 3;
+    # the other factor and kernel suites run at level 2 with factor_m = 2
+    path.write_text(json.dumps({"level": 2, "factor_m": 2}))
+    assert main(["check", "factor", "--seed", "1", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "check suite factor.membership cannot run at level 2: needs level >= 3" in err
+    for suite in ("factor.cosets", "factor.coset-constancy", "factor.nonseparation",
+                  "kernel"):
+        argv = ["check", suite, "--seed", "1", "--config", str(path)]
+        assert main(argv) == 0, suite
+    assert all(row["pass"] for row in lines(capsys.readouterr().out))
 
 
 def test_config_file_and_env(tmp_path, monkeypatch, capsys):

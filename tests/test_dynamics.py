@@ -4,6 +4,8 @@ The stepping loop is the oracle throughout: it applies the one-step map
 repeatedly and never touches a binomial.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -127,6 +129,16 @@ def test_poly_normalization_difference_shift():
         assert s.evaluate(n) == p.evaluate(n + 2)
     assert p.shift(0) == p
     assert p.shift(3).shift(-3) == p
+
+
+def test_poly_angle_copies_and_pickles():
+    for p in (PolyAngle([ZERO]), PolyAngle.parse("1/3 + (1/2*b1 - 2/5)*C(n,2)")):
+        dups = [copy.copy(p), copy.deepcopy(p)]
+        dups += [pickle.loads(pickle.dumps(p, v)) for v in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for dup in dups:
+            assert dup == p and hash(dup) == hash(p) and str(dup) == str(p)
+            with pytest.raises(AttributeError):
+                dup.coeffs = ()
 
 
 def test_poly_parse_and_str():
