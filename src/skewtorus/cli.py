@@ -18,17 +18,13 @@ import re
 import sys
 from datetime import datetime, timezone
 
-from .checks import run_suites
 from .circle import Angle, ZERO, format_point, parse_point
 from .config import Config, load_config
 from .dynamics import BasicSystem, CharacterIndex, PolyAngle, orbit_polynomial
 from .ellis import HmElement, commutator, predicted_commutator
 from .errors import ConfigurationError, SkewtorusError
 from .factor_lab import default_kernel_specs, kernel_member, nonseparation_witness
-from .samplers import rand_element, rand_kernel_member
 from .weyl import MAX_SAMPLES, equidistribution_report
-
-import random
 
 # `iterate --oracle` re-runs the orbit one step at a time, about 10-15 us
 # per coordinate step (Python 3.11, 2 vCPUs).  Both |n| and the number of
@@ -77,11 +73,21 @@ def _load_json_arg(text: str) -> dict:
     return data
 
 
+# int() alone would also take other scripts' digits ("١٢") and underscores
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"bad integer value {text!r}")
+    return int(text)
+
+
 def _parse_shifts(text: str) -> tuple[int, ...]:
     out = []
     for part in text.split(","):
         part = part.strip()
-        if not re.fullmatch(r"-?[0-9]+", part):
+        if not _INTEGER.fullmatch(part):
             raise ConfigurationError(f"bad shift value {part!r}")
         k = int(part)
         if k < 0:
@@ -119,7 +125,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         )
     x0 = Angle.parse(args.x0) if args.x0 is not None else cfg.system().x0
     sys_ = BasicSystem(m, x0)
-    point = parse_point(args.point) if args.point else (ZERO,) * m
+    point = parse_point(args.point) if args.point is not None else (ZERO,) * m
     result = sys_.iterate(point, args.n)
     if sys_.minimal_base:
         _note("base rotation is minimal: x0 is not torsion")
@@ -149,10 +155,10 @@ def _cmd_weyl(args: argparse.Namespace) -> int:
         poly = PolyAngle.parse(args.poly)
     else:
         sys_ = cfg.system()
-        point = parse_point(args.point) if args.point else (ZERO,) * sys_.m
+        point = parse_point(args.point) if args.point is not None else (ZERO,) * sys_.m
         poly = orbit_polynomial(sys_, CharacterIndex.basis(args.char), point)
     N = args.N if args.N is not None else cfg.N
-    shifts = _parse_shifts(args.shifts) if args.shifts else cfg.shifts
+    shifts = _parse_shifts(args.shifts) if args.shifts is not None else cfg.shifts
     tol = args.tol if args.tol is not None else cfg.tol
     report = equidistribution_report(poly, N, shifts, tol, basis)
     if args.format == "csv":
@@ -218,6 +224,8 @@ def _cmd_factor_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor_kernel(args: argparse.Namespace) -> int:
+    import random
+    from .samplers import rand_element, rand_kernel_member
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     if args.samples > KERNEL_MAX_SAMPLES:
@@ -257,6 +265,7 @@ def _cmd_factor_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .checks import run_suites
     cfg = load_config(args.config)
     seed = _need_seed(args, cfg)
     results = []
@@ -284,31 +293,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="skewtorus",
-        description=(
-            "Exact truncated transformation groups of skew-product torus "
-            "towers, with Weyl-sum equidistribution checks."
-        ),
+def _add_config(p: _Parser) -> None:
+    p.add_argument(
+        "--config",
+        default=None,
+        help="config JSON path (default: $SKEWTORUS_CONFIG or built-ins)",
     )
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_config(p: _Parser) -> None:
-        p.add_argument(
-            "--config",
-            default=None,
-            help="config JSON path (default: $SKEWTORUS_CONFIG or built-ins)",
-        )
 
-    p = sub.add_parser("iterate", help="closed-form tower iteration")
-    add_config(p)
-    p.add_argument("--m", type=int, default=None, help="tower dimension")
+def _add_iterate(p: _Parser) -> None:
+    _add_config(p)
+    p.add_argument("--m", type=_int, default=None, help="tower dimension")
     p.add_argument("--x0", default=None, help="base rotation angle")
     p.add_argument(
         "--point", default=None, help="comma-separated start coordinates"
     )
-    p.add_argument("--n", type=int, required=True, help="iterate count (any sign)")
+    p.add_argument("--n", type=_int, required=True, help="iterate count (any sign)")
     p.add_argument(
         "--oracle",
         action="store_true",
@@ -316,19 +316,20 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_iterate)
 
-    p = sub.add_parser("weyl", help="Weyl averages against the predicted target")
-    add_config(p)
+
+def _add_weyl(p: _Parser) -> None:
+    _add_config(p)
     p.add_argument("--poly", default=None, help="polynomial, e.g. '1*b1*C(n,2)'")
     p.add_argument(
         "--char",
-        type=int,
+        type=_int,
         default=None,
         help="coordinate character index (orbit polynomial of the config system)",
     )
     p.add_argument("--point", default=None, help="orbit start for --char")
     p.add_argument(
         "--N",
-        type=int,
+        type=_int,
         default=None,
         help=f"sample count per shift (N * shifts <= {MAX_SAMPLES})",
     )
@@ -337,8 +338,9 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_weyl)
 
-    p = sub.add_parser("ellis", help="group element operations")
-    add_config(p)
+
+def _add_ellis(p: _Parser) -> None:
+    _add_config(p)
     p.add_argument(
         "op", choices=("star", "inv", "comm", "act", "is-iterate"),
         help="operation",
@@ -348,29 +350,31 @@ def build_parser() -> _Parser:
     p.add_argument("--point", default=None, help="ambient point for act")
     p.set_defaults(func=_cmd_ellis)
 
-    p = sub.add_parser("factor-lab", help="coset non-separation laboratory")
+
+def _add_factor_lab(p: _Parser) -> None:
     lab = p.add_subparsers(dest="lab_op", parser_class=_Parser)
     d = lab.add_parser("demo", help="witness construction with controls")
-    add_config(d)
+    _add_config(d)
     d.set_defaults(func=_cmd_factor_demo)
     k = lab.add_parser("kernel", help="kernel membership and normality")
-    add_config(k)
+    _add_config(k)
     k.add_argument(
-        "--samples", type=int, default=50,
+        "--samples", type=_int, default=50,
         help=f"samples per spec (1 to {KERNEL_MAX_SAMPLES})",
     )
-    k.add_argument("--seed", type=int, default=None)
+    k.add_argument("--seed", type=_int, default=None)
     k.set_defaults(func=_cmd_factor_kernel)
 
-    p = sub.add_parser("check", help="seeded property suites")
-    add_config(p)
+
+def _add_check(p: _Parser) -> None:
+    _add_config(p)
     p.add_argument(
         "selector",
         nargs="?",
         default="all",
         help="suite id, module prefix, or 'all'",
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument(
         "--reproducible",
         action="store_true",
@@ -378,11 +382,37 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_check)
 
+
+# command name -> (help text, function that adds the command's arguments)
+COMMANDS = {
+    "iterate": ("closed-form tower iteration", _add_iterate),
+    "weyl": ("Weyl averages against the predicted target", _add_weyl),
+    "ellis": ("group element operations", _add_ellis),
+    "factor-lab": ("coset non-separation laboratory", _add_factor_lab),
+    "check": ("seeded property suites", _add_check),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with every command, or with `command` alone."""
+    parser = _Parser(
+        prog="skewtorus",
+        description=(
+            "Exact truncated transformation groups of skew-product torus "
+            "towers, with Weyl-sum equidistribution checks."
+        ),
+    )
+    all_commands = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, metavar=all_commands)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     func = getattr(args, "func", None)
     if func is None:

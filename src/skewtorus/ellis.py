@@ -182,7 +182,8 @@ class HmElement:
                 f"element was written at level {data['level']}, "
                 f"context is at {ctx.level}"
             )
-        if "basis" in data and list(data["basis"]) != list(ctx.basis.symbols):
+        basis = data.get("basis", ctx.basis.symbols)
+        if not isinstance(basis, Sequence) or list(basis) != list(ctx.basis.symbols):
             raise ConfigurationError("element basis does not match the context")
         raw = data.get("comps")
         if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):

@@ -250,6 +250,8 @@ class TruncEndo:
 
     @classmethod
     def from_dict(cls, data: Mapping, ctx: TruncationContext) -> "TruncEndo":
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(f"an endomorphism must be an object, got {data!r}")
         residue = data.get("residue")
         if not isinstance(residue, int) or isinstance(residue, bool):
             raise ConfigurationError(f"residue must be an integer, got {residue!r}")
@@ -259,5 +261,7 @@ class TruncEndo:
         images: dict[str, Angle] = {}
         for sym, text in raw.items():
             ctx.basis.index_of(sym)
+            if not isinstance(text, (str, Angle)):
+                raise ConfigurationError(f"image of {sym} must be an angle string, got {text!r}")
             images[sym] = Angle.parse(text) if isinstance(text, str) else text
         return cls.make(ctx, residue, images)

@@ -5,12 +5,26 @@ JSON object per line) with all prose on stderr.  Exit codes: 0 pass,
 2 checked property failed, 3 unusable input.
 """
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from skewtorus.cli import KERNEL_MAX_SAMPLES, ORACLE_MAX_COORD_STEPS, ORACLE_MAX_STEPS, main
+import skewtorus
+from skewtorus.cli import (
+    COMMANDS,
+    KERNEL_MAX_SAMPLES,
+    ORACLE_MAX_COORD_STEPS,
+    ORACLE_MAX_STEPS,
+    build_parser,
+    main,
+)
 from skewtorus.config import MAX_LEVEL, Config
 from skewtorus.dynamics import MAX_SYSTEM_M
 from skewtorus.ellis import HmElement
@@ -81,6 +95,9 @@ def test_iterate_rejects_bad_angle(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "(at offset 4)" in err
+    # an empty --point is an empty angle, not the zero point
+    assert main(["iterate", "--n", "1", "--point", ""]) == 3
+    assert "empty angle (at offset 0)" in capsys.readouterr().err
 
 
 def test_weyl_rational_json(capsys):
@@ -131,10 +148,23 @@ def test_weyl_argument_validation(capsys):
     assert main(["weyl", "--char", "5", "--N", "10"]) == 3  # system has m=2
     capsys.readouterr()
     # shift values are ASCII digits only
-    for shifts in ["١٢", "²", "--5"]:
+    for shifts in ["١٢", "²", "--5", ""]:
         argv = ["weyl", "--poly", "b1*C(n,1)", "--N", "10", f"--shifts={shifts}"]
         assert main(argv) == 3
         assert f"bad shift value {shifts!r}" in capsys.readouterr().err
+    # an empty --point is an empty angle, not the zero point
+    assert main(["weyl", "--char", "1", "--point", "", "--N", "10"]) == 3
+    assert "empty angle (at offset 0)" in capsys.readouterr().err
+    # integer flags take ASCII digits with an optional '-' and nothing else
+    for flag, value in [("--N", "1_0"), ("--N", "١٢"), ("--N", " 10"), ("--N", "+10"),
+                        ("--N", ""), ("--char", "²")]:
+        argv = ["weyl", "--poly", "b1*C(n,1)", "--shifts", "0", f"{flag}={value}"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: bad integer value {value!r}" in err
 
 
 def test_weyl_rejects_a_non_finite_tolerance(tmp_path, capsys):
@@ -463,11 +493,51 @@ def test_config_rejections(tmp_path, capsys):
 
 
 def test_usage_errors_exit_three(capsys):
-    for argv in [[], ["bogus"], ["iterate"], ["weyl", "--format", "xml"]]:
+    for argv in [
+        [], ["bogus"], ["iterate"], ["weyl", "--format", "xml"],
+        ["iterate", "--n", "١٢"], ["iterate", "--n", "1_0"], ["iterate", "--n", "3", "--m", "٣"],
+        ["factor-lab", "kernel", "--samples", "1_0"], ["factor-lab", "kernel", "--seed", "٥"],
+        ["check", "comb.pascal", "--seed", "4_2"],
+    ]:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 3
-        capsys.readouterr()
+        assert capsys.readouterr().out == ""
+
+
+def _run(parse, argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_parses_as_the_full_parser_does():
+    full = build_parser()
+    (commands,) = [a for a in full._actions if a.dest == "command"]
+    assert list(COMMANDS) == list(commands.choices)
+    (lab_ops,) = [a for a in commands.choices["factor-lab"]._actions if a.dest == "lab_op"]
+    helps = [[]] + [[c] for c in COMMANDS] + [["factor-lab", op] for op in lab_ops.choices]
+    usage_errors = [["ellis"], ["iterate", "--n", "1", "extra"], ["factor-lab", "bogus"]]
+    for argv in [path + ["--help"] for path in helps] + usage_errors:
+        # main builds the parser for argv[0] alone
+        expected = _run(lambda a: build_parser().parse_args(a), argv)
+        assert expected[0] in (0, 3), argv
+        assert _run(main, argv) == expected, argv
+
+
+def test_importing_the_cli_leaves_the_check_suites_unloaded():
+    src = str(Path(skewtorus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, skewtorus.cli; "
+            "print(sorted(m for m in sys.modules if m in ('skewtorus.checks', 'skewtorus.samplers')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_stdout_is_json_lines(capsys):

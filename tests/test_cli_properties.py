@@ -1,13 +1,20 @@
-"""Property test for the CLI contract on `weyl --poly`.
+"""Property tests for the CLI contract: exit 0, 2 or 3, never a traceback.
 
-Any polynomial text, any small N and shift 0 must end in exit code 0, 2
-or 3, with no exception escaping main(), which a user would see as a
-traceback.  Denominators up to 10^12 and k up to MAX_BINOM_K reach the
-period cap, the parser's bounds and aperiodic polynomials alike.
+`weyl --poly`: any polynomial text, any small N and shift 0 must end in
+exit code 0, 2 or 3, with no exception escaping main(), which a user would
+see as a traceback.  Denominators up to 10^12 and k up to MAX_BINOM_K reach
+the period cap, the parser's bounds and aperiodic polynomials alike.
+
+`iterate --oracle`, `ellis` on mutated element JSON and `factor-lab kernel`
+draw their integer flags as ASCII, non-ASCII, underscored and blank text.
+main() must return 0, 2 or 3, or stop with SystemExit(3) on a usage error.
 """
 
 import contextlib
+import functools
 import io
+import json
+import operator
 
 import pytest
 
@@ -16,6 +23,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from skewtorus.circle import MAX_BINOM_K  # noqa: E402
 from skewtorus.cli import main  # noqa: E402
+from skewtorus.config import Config  # noqa: E402
+from skewtorus.ellis import HmElement  # noqa: E402
 
 numbers = st.integers(0, 10**6).map(str)
 fractions = st.builds("{}/{}".format, numbers, st.integers(0, 10**12))
@@ -34,11 +43,113 @@ polys = st.lists(
 ).map(lambda ts: "".join(t + sep for t, sep in ts[:-1]) + ts[-1][0])
 
 
+def _run(argv: list) -> str:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 3, argv  # a usage error; no argv here asks for --help
+        else:
+            assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    return err.getvalue()
+
+
 @settings(deadline=None)
 @given(polys, st.integers(-1, 50))
 def test_weyl_exits_0_2_or_3_without_a_traceback(poly, N):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["weyl", f"--poly={poly}", "--N", str(N), "--shifts", "0"])
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    _run(["weyl", f"--poly={poly}", "--N", str(N), "--shifts", "0"])
+
+
+_SCRIPTS = ["٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "०१२३४५६७८९"]  # Arabic-Indic, fullwidth, Devanagari
+
+
+def int_texts(lo: int, hi: int):
+    """An integer in [lo, hi] written in ASCII, in another script's digits,
+    with an underscore (which int() accepts), or a blank or signed text."""
+    ints = st.integers(lo, hi)
+    other = st.one_of(
+        st.builds(
+            lambda n, digits: str(n).translate(str.maketrans("0123456789", digits)),
+            ints, st.sampled_from(_SCRIPTS),
+        ),
+        ints.map("{}_0".format),
+        st.sampled_from(["", " ", " 2", "2 ", "+2", "-"]),
+    )
+    # half ASCII, so that most draws of two flags reach the command itself
+    return st.booleans().flatmap(lambda ascii: ints.map(str) if ascii else other)
+
+
+points = st.sampled_from(["", "0", "1/2", "1/7, 1/3*b1", "0,0,0", "1/6,1/5,1/4,1/3", "?"])
+
+
+@settings(deadline=None, max_examples=60)
+@given(int_texts(-30, 30), st.one_of(st.none(), int_texts(-1, 4)), st.one_of(st.none(), points))
+def test_iterate_oracle_exits_0_2_or_3(n, m, point):
+    argv = ["iterate", "--oracle", f"--n={n}"]
+    argv += [] if m is None else [f"--m={m}"]
+    argv += [] if point is None else [f"--point={point}"]
+    _run(argv)
+
+
+CTX = Config().context()
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True),
+    st.text(max_size=6),
+    st.sampled_from(["1/2", "1/720*b1", "b1", "b3", "0", "1/3 + ?"]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def element_json(draw):
+    """A valid element (a power of the tower map) with up to three edits:
+    a value replaced by arbitrary JSON, or a key or list entry deleted."""
+    el = json.loads(json.dumps(HmElement.tilde(CTX, draw(st.integers(-20, 20)), draw(st.integers(1, 3))).to_dict()))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(el))))
+        if not path:
+            el = draw(json_values)
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], el)
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(json_values)
+        else:
+            del parent[path[-1]]
+    return json.dumps(el)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(["star", "inv", "comm", "act", "is-iterate"]),
+    element_json(),
+    st.one_of(st.none(), element_json()),
+    st.one_of(st.none(), points),
+)
+def test_ellis_on_mutated_elements_exits_0_2_or_3(op, a, b, point):
+    argv = ["ellis", op, "--a", a]
+    argv += [] if b is None else ["--b", b]
+    argv += [] if point is None else ["--point", point]
+    _run(argv)
+
+
+@settings(deadline=None, max_examples=30)
+@given(int_texts(1, 3), int_texts(-5, 5))
+def test_factor_kernel_exits_0_2_or_3(samples, seed):
+    _run(["factor-lab", "kernel", f"--samples={samples}", f"--seed={seed}"])

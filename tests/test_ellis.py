@@ -224,8 +224,9 @@ def test_serialization_round_trip():
 
     with pytest.raises(ConfigurationError):
         HmElement.from_dict({**data, "level": 5}, CTX)
-    with pytest.raises(ConfigurationError):
-        HmElement.from_dict({**data, "basis": ["b1"]}, CTX)
+    for basis in (["b1"], 5):
+        with pytest.raises(ConfigurationError, match="basis does not match"):
+            HmElement.from_dict({**data, "basis": basis}, CTX)
     with pytest.raises(ConfigurationError):
         HmElement.from_dict({**data, "m": 2}, CTX)
     with pytest.raises(ConfigurationError):

@@ -166,3 +166,7 @@ def test_dict_round_trip():
         TruncEndo.from_dict({"residue": 0, "images": ["0"]}, CTX)
     with pytest.raises(ConfigurationError):
         TruncEndo.from_dict({"residue": 0, "images": {"zz": "0"}}, CTX)
+    with pytest.raises(ConfigurationError, match="image of b1 must be an angle string, got 7"):
+        TruncEndo.from_dict({"residue": 0, "images": {"b1": 7}}, CTX)
+    with pytest.raises(ConfigurationError, match="must be an object, got None"):
+        TruncEndo.from_dict(None, CTX)
