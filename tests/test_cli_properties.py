@@ -43,7 +43,7 @@ polys = st.lists(
 ).map(lambda ts: "".join(t + sep for t, sep in ts[:-1]) + ts[-1][0])
 
 
-def _run(argv: list) -> str:
+def _run(argv: list) -> None:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -53,7 +53,6 @@ def _run(argv: list) -> str:
         else:
             assert code in (0, 2, 3), argv
     assert "Traceback" not in err.getvalue()
-    return err.getvalue()
 
 
 @settings(deadline=None)
