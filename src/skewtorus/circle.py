@@ -10,7 +10,9 @@ together with 1 are assumed rationally independent (a modeling
 assumption recorded with the basis declaration, never checked), so the
 normal form with rat in [0, 1) is unique and equality is decided
 componentwise.  Only the rational part reduces mod 1; the coefficients
-live in Q and carry no relations.
+live in Q and carry no relations.  The normal form is held in integers
+over one common denominator (see :class:`Angle`), and parsing and the
+group law build it without Fraction.
 
 Numeric values of the symbols enter through :func:`angle_to_unit`
 alone.  No equality, membership, or group decision consults a float.
@@ -22,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -86,85 +89,81 @@ class BasisDecl:
     def value_of(self, symbol: str) -> Fraction:
         return self.values[self.index_of(symbol)]
 
+    def phase(self, a: Angle) -> tuple[int, int]:
+        """The exact real value of a under the declared values, as a
+        numerator and a positive denominator, neither reduced nor taken mod 1."""
+        n, d = 0, 1  # sum of c * value over the symbols, as n / d
+        for sym, c in a.cs:
+            v = self.value_of(sym)
+            n, d = n * v.denominator + c * v.numerator * d, d * v.denominator
+        return a.num * d + n, a.den * d
 
-def _exact(x: RationalLike) -> Fraction:
-    """x as a Fraction; floats and other non-rationals are refused."""
-    if type(x) is Fraction:
-        return x
+
+# (symbol or None for the torsion part, numerator, denominator > 0)
+Term = tuple[Union[str, None], int, int]
+
+
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of x; floats and other non-rationals are refused."""
     if isinstance(x, Rational):
-        return Fraction(x)
+        return x.numerator, x.denominator
     raise TypeError(f"angle entries must be int or Fraction, got {type(x).__name__} {x!r}")
-
-
-def _combine(
-    xs: tuple[tuple[str, Fraction], ...],
-    ys: tuple[tuple[str, Fraction], ...],
-    sub: bool,
-) -> tuple[tuple[str, Fraction], ...]:
-    """Coefficients of x + y (or x - y with ``sub``) from two normal-form
-    tuples: one merge pass, adding only on shared symbols, zeros dropped."""
-    if not ys:
-        return xs
-    if not xs and not sub:
-        return ys
-    out = []
-    i, nx = 0, len(xs)
-    for t, d in ys:
-        while i < nx and xs[i][0] < t:
-            out.append(xs[i])
-            i += 1
-        if i < nx and xs[i][0] == t:
-            c = xs[i][1] - d if sub else xs[i][1] + d
-            i += 1
-            if c:
-                out.append((t, c))
-        else:
-            out.append((t, -d) if sub else (t, d))
-    out.extend(xs[i:])
-    return tuple(out)
 
 
 class Angle:
     """Immutable exact circle element, written additively.
 
-    The normal form is ``rat`` a Fraction in [0, 1) and ``coeffs`` a
-    tuple of (symbol, nonzero Fraction) strictly sorted by symbol.  The
-    public constructor normalises any input; the arithmetic combines
-    operands already in normal form and builds its result through
-    :meth:`_make`, reducing ``rat`` with at most one step.
+    The normal form is a common denominator ``den >= 1``, a torsion
+    numerator ``0 <= num < den`` and ``cs``, a tuple of (symbol, nonzero
+    int) strictly sorted by symbol, with ``gcd(den, num, *cs) == 1``: the
+    angle is ``(num + sum c * symbol) / den``.  A level-L row is the same
+    data with ``den | L!``.  The public constructor normalises int and
+    Fraction input; the arithmetic merges integer numerators and divides
+    by one gcd.  ``rat``, ``coeffs`` and ``coeff()`` are Fraction views.
     """
 
-    __slots__ = ("rat", "coeffs")
+    __slots__ = ("den", "num", "cs")
 
-    rat: Fraction
-    coeffs: tuple[tuple[str, Fraction], ...]
+    den: int
+    num: int
+    cs: tuple[tuple[str, int], ...]
 
     def __init__(self, rat: RationalLike = 0, coeffs: CoeffsLike = ()) -> None:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        merged: dict[str, Fraction] = {}
-        for sym, c in items:
-            c = _exact(c)
-            if c:
-                acc = merged.get(sym, 0) + c
-                if acc:
-                    merged[sym] = acc
-                elif sym in merged:
-                    del merged[sym]
-        rat = _exact(rat)
-        if not 0 <= rat < 1:
-            rat %= 1
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "coeffs", tuple(sorted(merged.items())))
+        a = _from_terms([(sym, *_ratio(c)) for sym, c in items] + [(None, *_ratio(rat))])
+        _set_den(self, a.den)
+        _set_num(self, a.num)
+        _set_cs(self, a.cs)
 
-    @classmethod
-    def _make(
-        cls, rat: Fraction, coeffs: tuple[tuple[str, Fraction], ...]
-    ) -> "Angle":
+    @staticmethod
+    def _make(den: int, num: int, cs: tuple[tuple[str, int], ...]) -> "Angle":
         """Trusted constructor: the arguments are already in normal form."""
-        a = object.__new__(cls)
-        object.__setattr__(a, "rat", rat)
-        object.__setattr__(a, "coeffs", coeffs)
+        a = _new(Angle)
+        _set_den(a, den)
+        _set_num(a, num)
+        _set_cs(a, cs)
         return a
+
+    @staticmethod
+    def _reduce(den: int, num: int, cs: list[tuple[str, int]]) -> "Angle":
+        """(num + sum c * symbol) / den for cs sorted by symbol with nonzero
+        c: num is taken mod den and all are divided by their gcd."""
+        num %= den
+        g = gcd(den, num, *[c for _, c in cs])
+        if g > 1:
+            den, num, cs = den // g, num // g, [(s, c // g) for s, c in cs]
+        return _make(den, num, tuple(cs))
+
+    @staticmethod
+    def _from_terms(terms: Sequence[Term]) -> "Angle":
+        """The sum of n/d * symbol over the terms (symbol, n, d), with
+        symbol None for the torsion part."""
+        den = lcm(*[d for _, _, d in terms])
+        acc: dict = {}
+        for sym, n, d in terms:
+            acc[sym] = acc.get(sym, 0) + n * (den // d)
+        num = acc.pop(None, 0)
+        return _reduce(den, num, [(s, c) for s, c in sorted(acc.items()) if c])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Angle is immutable")
@@ -172,36 +171,46 @@ class Angle:
     def __reduce__(self) -> tuple:
         return Angle, (self.rat, self.coeffs)
 
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple([(s, Fraction(c, self.den)) for s, c in self.cs])
+
+    def coeff(self, symbol: str) -> Fraction:
+        return Fraction(dict(self.cs).get(symbol, 0), self.den)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Angle):
             return NotImplemented
-        return self.rat == other.rat and self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num and self.cs == other.cs
 
     def __hash__(self) -> int:
-        return hash((self.rat, self.coeffs))
+        return hash((self.den, self.num, self.cs))
 
     def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.coeffs)
+        return bool(self.num or self.cs)
+
+    def _sum(self, other: "Angle", sign: int) -> "Angle":
+        """self + sign * other over the lcm of the two denominators."""
+        den = self.den if self.den == other.den else lcm(self.den, other.den)
+        sx, sy = den // self.den, sign * (den // other.den)
+        acc = {s: sx * c for s, c in self.cs}
+        for s, c in other.cs:
+            acc[s] = acc.get(s, 0) + sy * c
+        cs = [(s, c) for s, c in sorted(acc.items()) if c]
+        return _reduce(den, sx * self.num + sy * other.num, cs)
 
     def __add__(self, other: "Angle") -> "Angle":
-        if not isinstance(other, Angle):
-            return NotImplemented
-        rat = self.rat + other.rat
-        if rat >= 1:
-            rat -= 1
-        return Angle._make(rat, _combine(self.coeffs, other.coeffs, False))
-
-    def __neg__(self) -> "Angle":
-        rat = 1 - self.rat if self.rat else self.rat
-        return Angle._make(rat, tuple([(s, -c) for s, c in self.coeffs]))
+        return self._sum(other, 1) if isinstance(other, Angle) else NotImplemented
 
     def __sub__(self, other: "Angle") -> "Angle":
-        if not isinstance(other, Angle):
-            return NotImplemented
-        rat = self.rat - other.rat
-        if rat < 0:
-            rat += 1
-        return Angle._make(rat, _combine(self.coeffs, other.coeffs, True))
+        return self._sum(other, -1) if isinstance(other, Angle) else NotImplemented
+
+    def __neg__(self) -> "Angle":
+        return _make(self.den, -self.num % self.den, tuple([(s, -c) for s, c in self.cs]))
 
     def __rmul__(self, n: int) -> "Angle":
         # Z-module structure only; rational scaling is ill-defined on torsion
@@ -209,35 +218,27 @@ class Angle:
             return NotImplemented
         if not n:
             return ZERO
-        return Angle._make(n * self.rat % 1, tuple([(s, n * c) for s, c in self.coeffs]))
+        # the numerators are coprime to den, so gcd(den, n) is the whole gcd
+        g = gcd(self.den, n)
+        den, n = self.den // g, n // g
+        return _make(den, n * self.num % den, tuple([(s, n * c) for s, c in self.cs]))
 
     __mul__ = __rmul__
 
-    def coeff(self, symbol: str) -> Fraction:
-        for s, c in self.coeffs:
-            if s == symbol:
-                return c
-        return Fraction(0)
-
     @property
     def is_torsion(self) -> bool:
-        return not self.coeffs
+        return not self.cs
 
     def torsion_order(self) -> int | None:
         """Order in the circle group, or None for non-torsion elements."""
-        if self.coeffs:
-            return None
-        return self.rat.denominator
-
-    def denominators(self) -> list[int]:
-        return [self.rat.denominator, *(c.denominator for _, c in self.coeffs)]
+        return None if self.cs else self.den
 
     def __str__(self) -> str:
         parts: list[str] = []
-        if self.rat or not self.coeffs:
-            parts.append(str(self.rat))
-        for sym, c in self.coeffs:
-            body = f"{abs(c)}*{sym}"
+        if self.num or not self.cs:
+            parts.append(_fraction_text(self.num, self.den))
+        for sym, c in self.cs:
+            body = f"{_fraction_text(abs(c), self.den)}*{sym}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -250,10 +251,21 @@ class Angle:
     @classmethod
     def parse(cls, text: str, base_offset: int = 0) -> "Angle":
         sums, _ = _read_sum(text, 0, base_offset, None, False)
-        return _angle(sums[0])
+        return _from_terms(sums[0])
 
 
+_new = object.__new__
+_set_den = Angle.den.__set__  # type: ignore[attr-defined]
+_set_num = Angle.num.__set__  # type: ignore[attr-defined]
+_set_cs = Angle.cs.__set__  # type: ignore[attr-defined]
+_make, _reduce, _from_terms = Angle._make, Angle._reduce, Angle._from_terms
 ZERO = Angle()
+
+
+def _fraction_text(n: int, d: int) -> str:
+    """n/d in lowest terms, as str(Fraction(n, d)) writes it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -295,8 +307,8 @@ def _read_binom(text: str, pos: int, base: int) -> tuple[int, int]:
 
 def _read_term(
     text: str, pos: int, base: int, binom: bool
-) -> tuple[int, Iterable[tuple[str | None, Fraction]], int]:
-    """One term as (k, [(symbol or None for the rational part, value)], end).
+) -> tuple[int, list[Term], int]:
+    """One term as (k, [(symbol or None, numerator, denominator)], end).
 
     Angle terms are `p`, `p/q`, `p/q*sym` and `sym`.  With ``binom`` a
     term may also be `(angle)`, and any of these may be followed by
@@ -307,18 +319,17 @@ def _read_term(
         inner, end = _read_sum(text, pos + 1, base, ")", False)
         end = _expect(text, end, base, ")", "expected ')' closing '('")
         k, end = _read_times_binom(text, end, base)
-        return k, inner[0].items(), end
-    value = Fraction(1)
+        return k, inner[0], end
+    num, den = 1, 1
     m = _NUMBER_RE.match(text, pos)
     if m:
         num = _literal(m, 1, base)
         den = 1 if m.group(2) is None else _literal(m, 2, base)
         if den == 0:
             raise ParseError("zero denominator", base + m.start(2))
-        value = Fraction(num, den)
         star = _STAR_RE.match(text, m.end())
         if star is None:
-            return 0, [(None, value)], m.end()
+            return 0, [(None, num, den)], m.end()
         pos = star.end()
     if binom and text.startswith("C(", pos):
         if not m:
@@ -327,14 +338,14 @@ def _read_term(
                 base + pos,
             )
         k, end = _read_binom(text, pos, base)
-        return k, [(None, value)], end
+        return k, [(None, num, den)], end
     sm = _SYMBOL_RE.match(text, pos)
     if not sm:
         if m:
             raise ParseError("expected basis symbol after '*'", base + pos)
         raise ParseError(f"expected rational or symbol, found {text[pos]!r}", base + pos)
     k, end = _read_times_binom(text, sm.end(), base) if binom else (0, sm.end())
-    return k, [(sm.group(), value)], end
+    return k, [(sm.group(), num, den)], end
 
 
 def _read_times_binom(text: str, pos: int, base: int) -> tuple[int, int]:
@@ -345,14 +356,14 @@ def _read_times_binom(text: str, pos: int, base: int) -> tuple[int, int]:
 
 def _read_sum(
     text: str, pos: int, base: int, stop: str | None, binom: bool
-) -> tuple[dict[int, dict[str | None, Fraction]], int]:
+) -> tuple[dict[int, list[Term]], int]:
     """Signed terms from pos up to the end of text or the stop character.
 
-    Returns the per-k sums {k: {symbol or None: value}} and the position
-    of the stop character (len(text) at the end).  Error offsets are
-    ``base`` plus the position in ``text``.
+    Returns the signed terms of each k, {k: [(symbol or None, numerator,
+    denominator)]}, and the position of the stop character (len(text) at
+    the end).  Error offsets are ``base`` plus the position in ``text``.
     """
-    sums: dict[int, dict[str | None, Fraction]] = {}
+    sums: dict[int, list[Term]] = {}
     n = len(text)
     pos = _skip_ws(text, pos)
     if pos == n or text[pos] == stop:
@@ -365,9 +376,8 @@ def _read_sum(
         if pos == n or text[pos] == stop:
             raise ParseError("expected a term", base + pos)
         k, parts, pos = _read_term(text, pos, base, binom)
-        acc = sums.setdefault(k, {})
-        for sym, value in parts:
-            acc[sym] = acc.get(sym, 0) + sign * value
+        acc = sums.setdefault(k, [])
+        acc.extend(parts if sign > 0 else [(sym, -p, q) for sym, p, q in parts])
         pos = _skip_ws(text, pos)
         if pos == n or text[pos] == stop:
             return sums, pos
@@ -377,17 +387,13 @@ def _read_sum(
         pos = _skip_ws(text, pos + 1)
 
 
-def _angle(parts: dict[str | None, Fraction]) -> Angle:
-    return Angle(parts.pop(None, 0), parts)  # type: ignore[arg-type]
-
-
 def parse_point(text: str, base_offset: int = 0) -> tuple[Angle, ...]:
     """Comma-separated list of angles; offsets in errors are global."""
     out: list[Angle] = []
     pos = 0
     while True:
         sums, pos = _read_sum(text, pos, base_offset, ",", False)
-        out.append(_angle(sums[0]))
+        out.append(_from_terms(sums[0]))
         if pos == len(text):
             return tuple(out)
         pos += 1
@@ -400,7 +406,7 @@ def parse_binomial_sum(text: str) -> list[Angle]:
     MAX_BINOM_K.  Trailing zero coefficients are not trimmed.
     """
     sums, _ = _read_sum(text, 0, 0, None, True)
-    return [_angle(sums.get(k, {})) for k in range(max(sums) + 1)]
+    return [_from_terms(sums.get(k, ())) for k in range(max(sums) + 1)]
 
 
 def format_point(point: Sequence[Angle]) -> str:
@@ -410,13 +416,11 @@ def format_point(point: Sequence[Angle]) -> str:
 def angle_to_unit(a: Angle, basis: BasisDecl) -> complex:
     """Project to the unit circle: e(a) = exp(2 pi i a).
 
-    The phase is accumulated exactly in Q using the declared rational
-    basis values and converted to float once, correctly rounded, so the
-    result matches the exact phase to the last bit of a double.
+    The phase is accumulated exactly as one integer numerator over one
+    integer denominator, using the declared rational basis values, and
+    converted to float by one correctly rounded division, so the result
+    matches the exact phase to the last bit of a double.
     """
-    theta = a.rat
-    for sym, c in a.coeffs:
-        theta += c * basis.value_of(sym)
-    theta %= 1
-    t = 2.0 * math.pi * (theta.numerator / theta.denominator)
+    num, den = basis.phase(a)
+    t = 2.0 * math.pi * (num % den / den)
     return complex(math.cos(t), math.sin(t))

@@ -73,8 +73,10 @@ def _load_json_arg(text: str) -> dict:
     return data
 
 
-# int() alone would also take other scripts' digits ("١٢") and underscores
+# int() and float() alone would also take other scripts' digits ("١٢"),
+# underscores and blanks; float() also takes "nan" and "inf"
 _INTEGER = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 def _int(text: str) -> int:
@@ -96,6 +98,12 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
     if not out:
         raise ConfigurationError("at least one shift is required")
     return tuple(out)
+
+
+def _parse_tol(text: str) -> float:
+    if _DECIMAL.fullmatch(text):
+        return float(text)
+    raise ConfigurationError(f"bad tolerance {text!r}: need a positive finite decimal such as 0.02")
 
 
 def _need_seed(args: argparse.Namespace, cfg: Config) -> int:
@@ -159,7 +167,7 @@ def _cmd_weyl(args: argparse.Namespace) -> int:
         poly = orbit_polynomial(sys_, CharacterIndex.basis(args.char), point)
     N = args.N if args.N is not None else cfg.N
     shifts = _parse_shifts(args.shifts) if args.shifts is not None else cfg.shifts
-    tol = args.tol if args.tol is not None else cfg.tol
+    tol = _parse_tol(args.tol) if args.tol is not None else cfg.tol
     report = equidistribution_report(poly, N, shifts, tol, basis)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
@@ -179,17 +187,15 @@ def _cmd_ellis(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--b is required for {args.op}")
     if args.op == "act" and args.point is None:
         raise ConfigurationError("--point is required for act")
+    a = _element(args.a, ctx)
     if args.op == "star":
-        a = _element(args.a, ctx)
         b = _element(args.b, ctx)
         _emit((a * b).to_dict())
         return 0
     if args.op == "inv":
-        a = _element(args.a, ctx)
         _emit(a.inverse().to_dict())
         return 0
     if args.op == "comm":
-        a = _element(args.a, ctx)
         b = _element(args.b, ctx)
         com = commutator(a, b)
         prefix = a.central_level()
@@ -205,12 +211,10 @@ def _cmd_ellis(args: argparse.Namespace) -> int:
         )
         return 0 if agrees else 2
     if args.op == "act":
-        a = _element(args.a, ctx)
         point = parse_point(args.point)
         _emit({"point": [str(x) for x in a.act(point)]})
         return 0
     if args.op == "is-iterate":
-        a = _element(args.a, ctx)
         _emit({"n": a.is_iterate()})
         return 0
     raise ConfigurationError(f"unknown ellis operation {args.op!r}")
@@ -334,7 +338,7 @@ def _add_weyl(p: _Parser) -> None:
         help=f"sample count per shift (N * shifts <= {MAX_SAMPLES})",
     )
     p.add_argument("--shifts", default=None, help="comma-separated start shifts")
-    p.add_argument("--tol", type=float, default=None, help="pass tolerance")
+    p.add_argument("--tol", default=None, help="pass tolerance")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_weyl)
 

@@ -147,9 +147,12 @@ def config_from_dict(data: Mapping) -> Config:
 
 
 def load_config(path: str | None = None) -> Config:
-    """Read configuration from path, else $SKEWTORUS_CONFIG, else defaults."""
-    if path is None:
-        path = os.environ.get("SKEWTORUS_CONFIG")
+    """Read configuration from path, else $SKEWTORUS_CONFIG, else defaults.
+
+    An empty path is refused; an empty $SKEWTORUS_CONFIG counts as unset."""
+    if path == "":
+        raise ConfigurationError("config path is empty; omit --config to use the defaults")
+    path = path or os.environ.get("SKEWTORUS_CONFIG")
     if not path:
         return Config()
     try:

@@ -37,8 +37,7 @@ JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd
 from operator import add, itemgetter, mul
 from typing import Mapping, Sequence, Union
 
@@ -70,10 +69,10 @@ class TruncationContext:
     def generator(self, symbol: str) -> Angle:
         """The represented generator b/L! for a declared symbol."""
         self.basis.index_of(symbol)
-        return Angle(0, {symbol: Fraction(1, self.modulus)})
+        return Angle._make(self.modulus, 0, ((symbol, 1),))
 
     def torsion_generator(self) -> Angle:
-        return Angle(Fraction(1, self.modulus))
+        return Angle._make(self.modulus, 1, ())
 
     def row(self, a: Angle) -> Row:
         """The integer row of a; raises as :func:`decompose` does."""
@@ -81,19 +80,17 @@ class TruncationContext:
         return (p, *(coords.get(s, 0) for s in self.basis.symbols))
 
     def angle(self, row: Sequence[int]) -> Angle:
-        """The angle that an integer row stands for."""
+        """The angle that an integer row stands for: row / L!, reduced by one gcd."""
         M = self.modulus
-        coeffs = tuple([(s, Fraction(row[j], M)) for j, s in self._columns if row[j]])
-        return Angle._make(Fraction(row[0] % M, M), coeffs)
+        g = gcd(M, *row)
+        cs = tuple([(s, row[j] // g) for j, s in self._columns if row[j]])
+        return Angle._make(M // g, row[0] % M // g, cs)
 
 
 def minimal_level(a: Angle) -> int:
-    """Smallest level L >= 2 whose modulus L! clears all denominators of a."""
-    need = 1
-    for d in a.denominators():
-        need = lcm(need, d)
+    """Smallest level L >= 2 whose modulus L! is a multiple of a's denominator."""
     level, fact = 2, 2
-    while fact % need:
+    while fact % a.den:
         level += 1
         fact *= level
     return level
@@ -107,17 +104,17 @@ def decompose(a: Angle, ctx: TruncationContext) -> tuple[int, dict[str, int]]:
     angle uses an undeclared symbol.
     """
     M = ctx.modulus
-    for d in a.denominators():
-        if M % d:
-            raise TruncationError(
-                f"angle {a} is not representable at level {ctx.level}",
-                minimal_level(a),
-            )
+    if M % a.den:
+        raise TruncationError(
+            f"angle {a} is not representable at level {ctx.level}",
+            minimal_level(a),
+        )
+    scale = M // a.den
     coords: dict[str, int] = {}
-    for sym, c in a.coeffs:
+    for sym, c in a.cs:
         ctx.basis.index_of(sym)
-        coords[sym] = c.numerator * (M // c.denominator)
-    return a.rat.numerator * (M // a.rat.denominator), coords
+        coords[sym] = c * scale
+    return a.num * scale, coords
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

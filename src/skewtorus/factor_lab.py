@@ -124,14 +124,14 @@ def qef_coset_constant(v: Sequence[Angle], cfg: FactorConfig) -> bool:
         if k == 0:
             continue
         if k <= 2:
-            for sym, _ in a.coeffs:
+            for sym, _ in a.cs:
                 if sym != cfg.x_symbol:
                     return False
-            scaled = a.coeff(cfg.x_symbol) * M
-            if scaled.denominator != 1 or int(scaled) % 2:
+            scaled = a.cs[0][1] * M if a.cs else 0  # over a.den
+            if scaled % a.den or scaled // a.den % 2:
                 return False
         else:
-            if a.coeffs:
+            if a.cs:
                 return False
     return True
 
@@ -147,18 +147,10 @@ def qef_index_family(cfg: FactorConfig) -> list[tuple[Angle, ...]]:
     ctx = cfg.ctx
     M = ctx.modulus
     x = cfg.point
-    torsion = [
-        Angle(Fraction(1, M)),
-        Angle(Fraction(2, M)),
-        Angle(Fraction(1, 2)),
-        Angle(Fraction(M - 1, M)),
-    ]
+    t = ctx.torsion_generator()  # 1/M
+    torsion = [t, 2 * t, Angle(Fraction(1, 2)), -t]
     x_mult = [j * x for j in (-3, -2, -1, 1, 2, 3, 4)]
-    mixed = [
-        2 * x + Angle(Fraction(1, M)),
-        x + Angle(Fraction(1, M)),
-        (M // 2) * x,
-    ]
+    mixed = [2 * x + t, x + t, (M // 2) * x]
     others = [
         ctx.generator(s) for s in ctx.basis.symbols if s != cfg.x_symbol
     ]

@@ -20,21 +20,22 @@ from .factor_lab import FactorConfig, KernelSpec
 def rand_angle(rng: random.Random, ctx: TruncationContext, span: int = 2) -> Angle:
     """Random angle with all denominators dividing the modulus."""
     M = ctx.modulus
-    coeffs = {}
-    for s in ctx.basis.symbols:
-        if rng.random() < 0.7:
-            coeffs[s] = Fraction(rng.randrange(-span * M, span * M + 1), M)
-    return Angle(Fraction(rng.randrange(M), M), coeffs)
+    cs = [
+        rng.randrange(-span * M, span * M + 1) if rng.random() < 0.7 else 0
+        for _ in ctx.basis.symbols
+    ]
+    return ctx.angle((rng.randrange(M), *cs))
 
 
 def rand_free_angle(rng: random.Random, ctx: TruncationContext) -> Angle:
     """Random angle with unconstrained small denominators."""
     den = rng.choice([1, 2, 3, 5, 7, 12, 30])
-    coeffs = {}
-    for s in ctx.basis.symbols:
-        if rng.random() < 0.6:
-            coeffs[s] = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 7]))
-    return Angle(Fraction(rng.randrange(den), den), coeffs)
+    terms = [
+        (s, rng.randint(-20, 20), rng.choice([1, 2, 3, 7]))
+        for s in ctx.basis.symbols
+        if rng.random() < 0.6
+    ]
+    return Angle._from_terms(terms + [(None, rng.randrange(den), den)])
 
 
 def rand_endo(
@@ -97,13 +98,13 @@ def rand_kernel_member(
     M = ctx.modulus
     comps = [TruncEndo.power(ctx, 1)] + [TruncEndo.power(ctx, 0)] * (spec.m - 1)
     kf = factorial(spec.m)
-    torsion = [int(g.rat * M) for g in spec.gamma if g.is_torsion]
+    torsion = [g.num * M // g.den for g in spec.gamma if g.is_torsion]
     residues = [
         r
         for r in (j * (M // kf) % M for j in range(kf))
         if all(r * t % M == 0 for t in torsion)
     ]
-    killed = {s for g in spec.gamma for s, _ in g.coeffs}
+    killed = {s for g in spec.gamma for s, _ in g.cs}
     imgs = tuple(
         ZERO if s in killed else rand_angle(rng, ctx)
         for s in ctx.basis.symbols

@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice, repeat
 from math import factorial, gcd, lcm
@@ -62,15 +61,16 @@ MAX_PERIOD = 1_000_000
 MAX_SAMPLES = 10_000_000
 
 
-def _coefficient_values(poly: PolyAngle, basis: BasisDecl) -> list[Fraction]:
-    """Exact rational value of each coefficient under the declared basis."""
+def _coefficient_values(poly: PolyAngle, basis: BasisDecl) -> tuple[list[int], int]:
+    """Exact value of each coefficient under the declared basis, as
+    numerators over their least common denominator."""
     vals = []
     for c in poly.coeffs:
-        v = c.rat
-        for sym, q in c.coeffs:
-            v += q * basis.value_of(sym)
-        vals.append(v)
-    return vals
+        n, d = basis.phase(c)
+        g = gcd(n, d)
+        vals.append((n // g, d // g))
+    den = lcm(*[d for _, d in vals])
+    return [n * (den // d) for n, d in vals], den
 
 
 def _phases(poly: PolyAngle, basis: BasisDecl, start: int) -> Iterator[float]:
@@ -80,10 +80,8 @@ def _phases(poly: PolyAngle, basis: BasisDecl, start: int) -> Iterator[float]:
     j+1 into row j (the binomial-basis recurrence), so each row is the
     running sum of the row above it, down from the constant top row.
     """
-    vals = _coefficient_values(poly, basis)
-    den = lcm(*(v.denominator for v in vals))
+    ints, den = _coefficient_values(poly, basis)
     # (Delta^j p)(start) is coefficient j of p shifted by start
-    ints = [int(v * den) for v in vals]
     *rows, top = [w % den for w in binomial_shift(ints, start)]
     chain = repeat(top)
     for row in reversed(rows):
@@ -136,13 +134,11 @@ def minimal_period(poly: PolyAngle) -> int | None:
     mod Q matters, and binom(t, r) mod Q depends on t mod Q * r! alone,
     so the binomials are taken at t mod Q * d! and stay small.
     """
-    if any(c.coeffs for c in poly.coeffs[1:]):
+    if any(c.cs for c in poly.coeffs[1:]):
         return None
-    Q = 1
-    for c in poly.coeffs[1:]:
-        Q = lcm(Q, c.rat.denominator)
+    Q = lcm(*[c.den for c in poly.coeffs[1:]])
     # a[0] stands in for the constant term, which no difference reads
-    a = [0] + [c.rat.numerator * (Q // c.rat.denominator) for c in poly.coeffs[1:]]
+    a = [0] + [c.num * (Q // c.den) for c in poly.coeffs[1:]]
     modulus = Q * factorial(poly.degree)
     t = 1
     for k in range(poly.degree - 1, -1, -1):

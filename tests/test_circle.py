@@ -102,7 +102,9 @@ def test_torsion_predicates():
     assert Angle(0, {"b1": 1}).torsion_order() is None
     assert Angle(F(1, 2)).is_torsion
     assert not Angle(F(1, 2), {"b2": F(1, 7)}).is_torsion
-    assert Angle(F(1, 2), {"b2": F(1, 7)}).denominators() == [2, 7]
+    a = Angle(F(1, 2), {"b2": F(1, 7)})
+    assert [a.rat.denominator, a.coeff("b2").denominator] == [2, 7]
+    assert (a.den, a.num, a.cs) == (14, 7, (("b2", 2),))  # (7 + 2*b2) / 14
 
 
 def test_angle_is_hashable_value_object():

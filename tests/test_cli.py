@@ -178,6 +178,24 @@ def test_weyl_rejects_a_non_finite_tolerance(tmp_path, capsys):
         assert "finite" in err
 
 
+def test_weyl_tolerance_takes_ascii_decimals_only(capsys):
+    argv = ["weyl", "--poly", "1/3*C(n,2)", "--N", "30", "--shifts", "0"]
+    # float() would read these as 1.0, 10.0 and 1.0
+    for tol in ["\u0661", "1_0", " 1", "1 ", "+1", "", "0x1p-3", "1e", "."]:
+        assert main(argv + [f"--tol={tol}"]) == 3, tol
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"bad tolerance {tol!r}" in err
+    for tol, want in [("0.5", 0.5), (".5", 0.5), ("5.", 5.0), ("1e-3", 0.001), ("2E+1", 20.0)]:
+        assert main(argv + [f"--tol={tol}"]) in (0, 2), tol
+        (report,) = lines(capsys.readouterr().out)
+        assert report["tol"] == want
+    # in the grammar, but not a positive finite float
+    for tol in ["1e999", "-0.5", "0"]:
+        assert main(argv + [f"--tol={tol}"]) == 3, tol
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
 def test_weyl_periodic_work_is_bounded(capsys):
     # period 10^9 + 7 would take about 10^9 target terms: exit 3 at once
     start = time.perf_counter()
@@ -452,6 +470,18 @@ def test_config_file_and_env(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert lines(out) == [{"point": ["1/4", "0"]}]
     assert "order 4" in err
+
+
+def test_an_empty_config_path_is_refused(monkeypatch, capsys):
+    # an explicit empty --config is an error, not the built-in defaults
+    assert main(["check", "comb.pascal", "--seed", "1", "--config", ""]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config path is empty" in err
+    # an empty SKEWTORUS_CONFIG counts as unset
+    monkeypatch.setenv("SKEWTORUS_CONFIG", "")
+    assert main(["check", "comb.pascal", "--seed", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_config_rejections(tmp_path, capsys):

@@ -8,6 +8,10 @@ the period cap, the parser's bounds and aperiodic polynomials alike.
 `iterate --oracle`, `ellis` on mutated element JSON and `factor-lab kernel`
 draw their integer flags as ASCII, non-ASCII, underscored and blank text.
 main() must return 0, 2 or 3, or stop with SystemExit(3) on a usage error.
+
+A config file mutated from a valid one must give the same: exit 0, 2 or
+3, no traceback, and a few seconds at most, on `iterate`, `weyl --char`
+and `check`.
 """
 
 import contextlib
@@ -15,6 +19,9 @@ import functools
 import io
 import json
 import operator
+import os
+import tempfile
+import time
 
 import pytest
 
@@ -23,7 +30,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from skewtorus.circle import MAX_BINOM_K  # noqa: E402
 from skewtorus.cli import main  # noqa: E402
-from skewtorus.config import Config  # noqa: E402
+from skewtorus.config import DEFAULT_BASIS, Config  # noqa: E402
 from skewtorus.ellis import HmElement  # noqa: E402
 
 numbers = st.integers(0, 10**6).map(str)
@@ -156,3 +163,50 @@ def test_ellis_on_mutated_elements_exits_0_2_or_3(op, a, b, point):
 @given(int_texts(1, 3), int_texts(-5, 5))
 def test_factor_kernel_exits_0_2_or_3(samples, seed):
     _run(["factor-lab", "kernel", f"--samples={samples}", f"--seed={seed}"])
+
+
+BASE_CONFIG = {
+    "level": 6, "basis": DEFAULT_BASIS, "seed": 3, "shifts": [0, 7], "tol": 0.5, "N": 50,
+    "system": {"m": 2, "x0": "1*b1"}, "x_symbol": "b1", "factor_m": 3,
+}
+config_values = st.one_of(
+    json_values,
+    st.sampled_from([0, 1, 2, 400, 401, -1, 10**20, 1e300, float("inf"), "0.5", "b2", "1/2"]),
+)
+
+
+@st.composite
+def config_json(draw):
+    """A valid config with up to three edits: a value replaced by arbitrary
+    JSON, a key or list entry deleted, or an unknown key added."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        edit = draw(st.sampled_from(["replace", "delete", "add"]))
+        if not path:
+            cfg = draw(config_values)
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], cfg)
+        if edit == "delete":
+            del parent[path[-1]]
+        elif edit == "add" and isinstance(parent, dict):
+            parent[draw(st.text(max_size=4))] = draw(config_values)
+        else:
+            parent[path[-1]] = draw(config_values)
+    return json.dumps(cfg)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    config_json(),
+    st.sampled_from([["iterate", "--n", "3"], ["weyl", "--char", "1", "--N", "20"],
+                     ["check", "comb.pascal"]]),
+)
+def test_mutated_configs_exit_0_2_or_3_in_bounded_time(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        start = time.perf_counter()
+        _run([*argv, "--config", path])
+    assert time.perf_counter() - start < 10, (argv, text)
