@@ -14,8 +14,9 @@ live in Q and carry no relations.  The normal form is held in integers
 over one common denominator (see :class:`Angle`), and parsing and the
 group law build it without Fraction.
 
-Numeric values of the symbols enter through :func:`angle_to_unit`
-alone.  No equality, membership, or group decision consults a float.
+Numeric values of the symbols enter through :meth:`BasisDecl.phase`
+alone (behind :func:`angle_to_unit` and the Weyl phase streams).  No
+equality, membership, or group decision consults a float.
 """
 
 from __future__ import annotations
