@@ -33,10 +33,11 @@ from .weyl import MAX_SAMPLES, equidistribution_report
 ORACLE_MAX_STEPS = 100_000
 ORACLE_MAX_COORD_STEPS = 2 * ORACLE_MAX_STEPS
 
-# `factor-lab kernel` spends about 0.7 ms per sample on each kernel spec
-# (three at the default factor_m = 3; 2 vCPUs), so the cap bounds a run to
-# about 20 s.
+# `factor-lab kernel` work per sample grows about as factor_m**3 and with
+# the size of L!, so samples * factor_m**3 is capped too.  A run at the caps
+# takes about 12 s at level 6 and up to 90 s at level 400 (2 vCPUs).
 KERNEL_MAX_SAMPLES = 10_000
+KERNEL_MAX_WORK = KERNEL_MAX_SAMPLES * 3**3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,6 +240,12 @@ def _cmd_factor_kernel(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = _need_seed(args, cfg)
     fac = cfg.factor()
+    work = args.samples * fac.m**3
+    if work > KERNEL_MAX_WORK:
+        raise ConfigurationError(
+            f"--samples * factor_m**3 = {args.samples} * {fac.m}**3 = {work} "
+            f"exceeds the cap of {KERNEL_MAX_WORK}"
+        )
     ctx = fac.ctx
     ok = True
     for spec in default_kernel_specs(fac):

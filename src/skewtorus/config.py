@@ -73,6 +73,11 @@ class Config:
 # 400 on 2 vCPUs with Python 3.11; README lists the curve.
 MAX_LEVEL = 400
 
+# Largest factor_m.  Factor-lab work grows about as factor_m**3: at level
+# 400 a `factor-lab kernel` sample takes 0.6 s at 16 and 5 s at 32, and
+# `factor-lab demo` 0.2 s at 16 and 49 s at 400 (2 vCPUs).
+FACTOR_MAX_M = 16
+
 
 def _int_from(lo: float) -> Callable[[Any, Config], bool]:
     return lambda v, _: isinstance(v, int) and not isinstance(v, bool) and v >= lo
@@ -140,6 +145,10 @@ def config_from_dict(data: Mapping) -> Config:
     if cfg.level > MAX_LEVEL:
         raise ConfigurationError(
             f"level must be at most MAX_LEVEL = {MAX_LEVEL}, got {cfg.level}"
+        )
+    if cfg.factor_m > FACTOR_MAX_M:
+        raise ConfigurationError(
+            f"factor_m must be at most FACTOR_MAX_M = {FACTOR_MAX_M}, got {cfg.factor_m}"
         )
     cfg.basis()  # validate digits and ranges eagerly
     cfg.system()

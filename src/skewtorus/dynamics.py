@@ -30,11 +30,13 @@ integer points tilde(0), ..., tilde(m) already separate index vectors
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 from .circle import MAX_BINOM_K, Angle, ZERO, parse_binomial_sum
 from .combinatorics import binom, binomial_shift
 from .ellis import HmElement
+from .endo import kernel, stack
 from .errors import ConfigurationError, RelationError
 
 
@@ -288,11 +290,13 @@ def q_eval(v: Sequence[Angle], phi: HmElement) -> Angle:
         raise ValueError(
             f"index vector reads past coordinate {phi.m}"
         )
-    val = ZERO
-    for k, a in enumerate(v[: phi.m + 1]):
-        if a:
-            val = val + phi.comps[k](a)
-    return val
+    # one kernel call over the stacked columns of the phi_k with v_k != 0
+    terms = [(f, a) for f, a in zip(phi.comps, v) if a]
+    if not terms:
+        return ZERO
+    ctx = phi.ctx
+    vec = tuple(chain.from_iterable(ctx.row(a) for _, a in terms))
+    return ctx.angle(kernel(vec, stack(f for f, _ in terms), ctx.modulus))
 
 
 def index_shift(v: Sequence[Angle]) -> tuple[Angle, ...]:

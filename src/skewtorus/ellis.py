@@ -17,30 +17,54 @@ composition.  The integer points tilde(n) have binom(n, k) in slot k
 and embed (Z, +); elements act on (m+1)-tuples of angles by the same
 triangular convolution, and the tower's extension law ast_mul glues an
 m-dimensional element to a circle coordinate via a correction cocycle
-evaluated at the tower's base point.
+evaluated at the tower's base point.  Each such sum runs
+:func:`skewtorus.endo.kernel` once per output row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
+from operator import mul, neg
 from typing import Mapping, Sequence
 
 from .circle import Angle
 from .combinatorics import binom
-from .endo import TruncationContext, TruncEndo
+from .endo import TruncationContext, TruncEndo, kernel, stack
 from .errors import ConfigurationError, MembershipError
 
 
-def _inner_sum(
-    a: Sequence[TruncEndo], b: Sequence[TruncEndo], k: int, acc: TruncEndo
-) -> TruncEndo:
-    """acc times every group-law term a_{k-j} o b_j, 0 < j < k, under ``*``."""
-    for j in range(1, k):
-        f, g = a[k - j], b[j]
-        if not (f.is_zero_map() or g.is_zero_map()):
-            acc = acc * f.compose(g)
-    return acc
+def _convolve(
+    a: Sequence[TruncEndo], b: Sequence[TruncEndo] | None, p: int
+) -> tuple[TruncEndo, ...]:
+    """Components of a * b, or of a's inverse when b is None.
+
+    Slot k of the product is S_k * b_k and slot k of the inverse is -S_k,
+    where S_k = sum_{j<k} a_{k-j} o b_j with b_0 = id, and b is the inverse
+    itself.  a_1..a_p are zero, so S_k = 0 for k <= p.  Otherwise each row
+    of S_k is one kernel call: the rows of b_{k-1-p}, ..., b_0, laid end to
+    end, against the stacked columns of a_{p+1}, a_{p+2}, ...  The inverse
+    negates those columns, as (-f) o g = -(f o g).
+    """
+    ctx = a[0].ctx
+    M, m, w = ctx.modulus, len(a) - 1, 1 + len(ctx.basis.symbols)
+    cols = stack(a[p + 1 :])
+    if b is None:
+        cols = [tuple(map(neg, c)) for c in cols]
+    out = list(a[: p + 1]) if b is None else [a[0], *b[1 : p + 1]]
+    right = out if b is None else b
+    # the residues and the rows of b_0 = id, b_1, ..., the latest first
+    residues = [1]
+    vecs = [[0] * i + [1] + [0] * (w - 1 - i) for i in range(1, w)]
+    for k in range(p + 1, m + 1):
+        residue = sum(map(mul, residues, cols[0][::w])) % M
+        s = TruncEndo._from_rows(ctx, residue, tuple([kernel(v, cols, M) for v in vecs]))
+        out.append(s if b is None else s * b[k])
+        residues.insert(0, right[k - p].residue)
+        for v, row in zip(vecs, right[k - p].rows):
+            v[:0] = row
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -110,20 +134,11 @@ class HmElement:
         if not isinstance(other, HmElement):
             return NotImplemented
         self._require_compatible(other)
-        a, b = self.comps, other.comps
-        out = [a[0]]
-        for k in range(1, self.m + 1):
-            # the j = 0 and j = k terms are a_k and b_k, as a_0 = b_0 = id
-            out.append(_inner_sum(a, b, k, a[k]) * b[k])
-        return HmElement(self.ctx, tuple(out))
+        return HmElement(self.ctx, _convolve(self.comps, other.comps, self.central_level()))
 
     def inverse(self) -> "HmElement":
         """Two-sided inverse, built by triangular back-substitution."""
-        a = self.comps
-        out = [a[0]]
-        for k in range(1, self.m + 1):
-            out.append(_inner_sum(a, out, k, a[k]).conj())
-        return HmElement(self.ctx, tuple(out))
+        return HmElement(self.ctx, _convolve(self.comps, None, self.central_level()))
 
     def truncate(self, new_m: int) -> "HmElement":
         if not 1 <= new_m <= self.m:
@@ -158,13 +173,12 @@ class HmElement:
             raise ConfigurationError(
                 f"point needs {self.m + 1} coordinates, got {len(point)}"
             )
-        ctx = self.ctx
-        vecs = [ctx.row(x) for x in point]
-        zero = (0,) * (1 + len(ctx.basis.symbols))
+        ctx, cols = self.ctx, stack(self.comps)
+        vec: list[int] = []  # slot k: x_k, ..., x_0 against phi_0, ..., phi_k
         out = []
-        for k in range(self.m + 1):
-            terms = [self.comps[k - j]._apply(v) for j, v in enumerate(vecs[: k + 1]) if any(v)]
-            out.append(ctx.angle([sum(col) for col in zip(zero, *terms)]))
+        for x in point:
+            vec[:0] = ctx.row(x)
+            out.append(ctx.angle(kernel(vec, cols, ctx.modulus)))
         return tuple(out)
 
     def to_dict(self) -> dict:
@@ -238,7 +252,9 @@ def ast_mul(
     phi, x = a
     psi, y = b
     phi._require_compatible(psi)
-    # evaluation is additive, so the slot-m sum is evaluated once
-    zero = TruncEndo.power(phi.ctx, 0)
-    corr = _inner_sum(phi.comps, psi.comps, phi.m + 1, zero)(x0)
-    return phi * psi, x + y + corr
+    # evaluation is additive: the cocycle is sum_{0<j<m} phi_{m-j}(psi_j(x0))
+    ctx = phi.ctx
+    M, x0_row = ctx.modulus, ctx.row(x0)
+    images = [kernel(x0_row, stack((g,)), M) for g in reversed(psi.comps[1:])]
+    corr = kernel(tuple(chain.from_iterable(images)), stack(phi.comps[1:]), M)
+    return phi * psi, x + y + ctx.angle(corr)

@@ -14,13 +14,15 @@ An endomorphism of the ambient group restricted to A_L is determined by
 a residue r mod M (its action on torsion: p/M -> r p/M) and one row per
 declared symbol i, the image (p_i, c_i1, ..., c_id) of the generator
 b_i/M.  A :class:`TruncEndo` stores exactly that: ``ctx``, ``residue``
-and ``rows``.  Applying it to the row (p, c) is one integer kernel,
+and ``rows``, a matrix with the torsion row (r, 0, ..., 0) on top.  The
+one row kernel, :func:`kernel`, applies it to the row (p, c),
 
     torsion  r p + sum_i c_i p_i  (mod M),   coefficient j  sum_i c_i c_ij,
 
-so evaluation and composition are total and exact.  ``compose`` runs
-the kernel over the rows of the inner map; the pointwise sum ``*`` and
-its inverse ``conj`` act entrywise, reducing only the torsion column.
+and over several matrices stacked side by side (:func:`stack`) it sums
+each map's image of its own block of the row: evaluation, ``compose`` and
+the group law of :mod:`skewtorus.ellis` all run it.  The pointwise sum
+``*`` and ``conj`` act entrywise, reducing only the torsion column.
 
 These maps form a ring: the pointwise sum of circle-valued maps is its
 addition, written ``*`` here (the group of maps is the ambient container
@@ -38,8 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial, gcd
+from itertools import repeat
 from operator import add, itemgetter, mul
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .circle import Angle, BasisDecl
 from .errors import ConfigurationError, TruncationError
@@ -202,15 +205,9 @@ class TruncEndo:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ConfigurationError("operands live in different contexts")
 
-    def _apply(self, vec: Sequence[int]) -> Row:
-        """The row of self applied to the angle with row vec."""
-        cs = vec[1:]
-        cols = zip(*self.rows)  # the torsion column, then one per symbol
-        torsion = self.residue * vec[0] + sum(map(mul, cs, next(cols, ())))
-        return (torsion % self.ctx.modulus, *[sum(map(mul, cs, col)) for col in cols])
-
     def __call__(self, a: Angle) -> Angle:
-        return self.ctx.angle(self._apply(self.ctx.row(a)))
+        ctx = self.ctx
+        return ctx.angle(kernel(ctx.row(a), stack((self,)), ctx.modulus))
 
     def __mul__(self, other: "TruncEndo") -> "TruncEndo":
         """Pointwise sum of circle-valued maps (the ambient group law)."""
@@ -218,10 +215,7 @@ class TruncEndo:
             return NotImplemented
         self._require_ctx(other)
         M = self.ctx.modulus
-        rows = tuple(
-            ((x[0] + y[0]) % M, *map(add, x[1:], y[1:]))
-            for x, y in zip(self.rows, other.rows)
-        )
+        rows = tuple([(t % M, *cs) for t, *cs in map(map, repeat(add), self.rows, other.rows)])
         return TruncEndo._from_rows(self.ctx, (self.residue + other.residue) % M, rows)
 
     def conj(self) -> "TruncEndo":
@@ -233,8 +227,9 @@ class TruncEndo:
     def compose(self, other: "TruncEndo") -> "TruncEndo":
         """self after other: the kernel of self over the rows of other."""
         self._require_ctx(other)
-        residue = self.residue * other.residue % self.ctx.modulus
-        return TruncEndo._from_rows(self.ctx, residue, tuple(map(self._apply, other.rows)))
+        M, cols = self.ctx.modulus, stack((self,))
+        rows = tuple([kernel(row, cols, M) for row in other.rows])
+        return TruncEndo._from_rows(self.ctx, self.residue * other.residue % M, rows)
 
     def to_dict(self) -> dict:
         return {
@@ -262,3 +257,21 @@ class TruncEndo:
                 raise ConfigurationError(f"image of {sym} must be an angle string, got {text!r}")
             images[sym] = Angle.parse(text) if isinstance(text, str) else text
         return cls.make(ctx, residue, images)
+
+
+def stack(maps: Iterable[TruncEndo]) -> list[Row]:
+    """The columns of the maps' matrices, each laid end to end over the maps."""
+    matrices: list[Row] = []
+    for f in maps:
+        matrices.append((f.residue,) + (0,) * len(f.rows))
+        matrices += f.rows
+    return list(zip(*matrices))
+
+
+def kernel(vec: Sequence[int], cols: Sequence[Row], M: int) -> Row:
+    """The row vec times the columns cols, torsion reduced mod M.  The dot
+    products stop at the shorter operand, so a vec of k blocks meets the
+    first k blocks of the stacked columns."""
+    dots = [sum(map(mul, vec, col)) for col in cols]
+    dots[0] %= M
+    return tuple(dots)

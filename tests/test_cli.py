@@ -20,12 +20,13 @@ import skewtorus
 from skewtorus.cli import (
     COMMANDS,
     KERNEL_MAX_SAMPLES,
+    KERNEL_MAX_WORK,
     ORACLE_MAX_COORD_STEPS,
     ORACLE_MAX_STEPS,
     build_parser,
     main,
 )
-from skewtorus.config import MAX_LEVEL, Config
+from skewtorus.config import FACTOR_MAX_M, MAX_LEVEL, Config
 from skewtorus.dynamics import MAX_SYSTEM_M
 from skewtorus.ellis import HmElement
 from skewtorus.weyl import MAX_SAMPLES
@@ -365,6 +366,23 @@ def test_factor_lab_kernel_rejects_zero_samples(capsys):
         assert message in err
 
 
+def test_factor_lab_kernel_caps_samples_times_factor_m_cubed(tmp_path, capsys):
+    # at factor_m = 16 the work cap admits 65 samples; one more exits 3
+    path = tmp_path / "m16.json"
+    path.write_text(json.dumps({"level": 16, "factor_m": FACTOR_MAX_M}))
+    samples = KERNEL_MAX_WORK // FACTOR_MAX_M**3 + 1
+    argv = ["factor-lab", "kernel", "--seed", "1", "--samples", str(samples),
+            "--config", str(path)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    work = samples * FACTOR_MAX_M**3
+    assert (f"--samples * factor_m**3 = {samples} * {FACTOR_MAX_M}**3 = {work} "
+            f"exceeds the cap of {KERNEL_MAX_WORK}") in err
+    argv[argv.index("--samples") + 1] = "1"
+    assert main(argv) == 0
+
+
 def test_factor_lab_requires_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
         main(["factor-lab"])
@@ -498,6 +516,7 @@ def test_config_rejections(tmp_path, capsys):
         {"x_symbol": "zz"},  # not a basis symbol
         {"level": 4, "factor_m": 5},
         {"level": MAX_LEVEL + 1},
+        {"level": MAX_LEVEL, "factor_m": FACTOR_MAX_M + 1},
         {"basis": {"c1": "0.4142135623730950488016887242096980785697"}},  # no b1
     ]
     for i, data in enumerate(cases):
@@ -514,6 +533,7 @@ def test_config_rejections(tmp_path, capsys):
     assert "x_symbol must be a symbol of the basis, got 'zz'" in err
     assert "factor_m must be an integer from 2 to the level, got 5" in err
     assert f"level must be at most MAX_LEVEL = {MAX_LEVEL}, got {MAX_LEVEL + 1}" in err
+    assert f"factor_m must be at most FACTOR_MAX_M = {FACTOR_MAX_M}, got {FACTOR_MAX_M + 1}" in err
     assert "x_symbol must be a symbol of the basis, got 'b1' (the default)" in err
     path = tmp_path / "not-json.json"
     path.write_text("{")

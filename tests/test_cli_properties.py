@@ -10,8 +10,8 @@ draw their integer flags as ASCII, non-ASCII, underscored and blank text.
 main() must return 0, 2 or 3, or stop with SystemExit(3) on a usage error.
 
 A config file mutated from a valid one must give the same: exit 0, 2 or
-3, no traceback, and a few seconds at most, on `iterate`, `weyl --char`
-and `check`.
+3, no traceback, and a few seconds at most, on `iterate`, `weyl --char`,
+`check`, `factor-lab demo` and `factor-lab kernel`.
 """
 
 import contextlib
@@ -200,7 +200,8 @@ def config_json(draw):
 @given(
     config_json(),
     st.sampled_from([["iterate", "--n", "3"], ["weyl", "--char", "1", "--N", "20"],
-                     ["check", "comb.pascal"]]),
+                     ["check", "comb.pascal"], ["factor-lab", "demo"],
+                     ["factor-lab", "kernel", "--samples", "1"]]),
 )
 def test_mutated_configs_exit_0_2_or_3_in_bounded_time(text, argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -109,8 +109,10 @@ def rand_oracle_endo(rng, ctx):
     return r, tuple(rand_angle(rng, ctx) for _ in ctx.basis.symbols)
 
 
-def rand_oracle_element(rng, ctx, m):
-    return [o_power(1, ctx)] + [rand_oracle_endo(rng, ctx) for _ in range(m)]
+def rand_oracle_element(rng, ctx, m, prefix=0):
+    """Random components; the first prefix after the identity are zero maps."""
+    zero = o_power(0, ctx)
+    return [o_power(1, ctx)] + [zero if k < prefix else rand_oracle_endo(rng, ctx) for k in range(m)]
 
 
 def endo_of(f, ctx):
@@ -130,6 +132,19 @@ def same(endo, f, ctx):
 
 def same_element(el, a, ctx):
     return len(el.comps) == len(a) and all(same(e, f, ctx) for e, f in zip(el.comps, a))
+
+
+def normal_form(el):
+    """Every component holds a residue in [0, M) and a tuple of integer
+    rows, one per symbol, whose torsion entries lie in [0, M)."""
+    M, d = el.ctx.modulus, len(el.ctx.basis.symbols)
+    for e in el.comps:
+        assert type(e.residue) is int and 0 <= e.residue < M, e
+        assert type(e.rows) is tuple and len(e.rows) == d, e
+        for row in e.rows:
+            assert type(row) is tuple and len(row) == d + 1, e
+            assert all(type(c) is int for c in row) and 0 <= row[0] < M, e
+    return True
 
 
 # ------------------------------------------------------------------ tests
@@ -161,15 +176,45 @@ def test_rows_match_the_angle_oracle():
         ex, ey = element_of(x, ctx), element_of(y, ctx)
         point = [rand_angle(rng, ctx) if rng.random() < 0.8 else ZERO for _ in range(m + 1)]
         xy = o_star(x, y, ctx)
-        assert same_element(ex * ey, xy, ctx), case
+        assert normal_form(ex * ey) and same_element(ex * ey, xy, ctx), case
         x_inv = o_inverse(x, ctx)
-        assert same_element(ex.inverse(), x_inv, ctx), case
+        assert normal_form(ex.inverse()) and same_element(ex.inverse(), x_inv, ctx), case
         assert ex.act(point) == o_act(x, point, ctx), case
         com = o_star(o_star(o_star(x_inv, o_inverse(y, ctx), ctx), x, ctx), y, ctx)
-        assert same_element(commutator(ex, ey), com, ctx), case
+        ex_ey = commutator(ex, ey)
+        assert normal_form(ex_ey) and same_element(ex_ey, com, ctx), case
         u, v, x0 = rand_angle(rng, ctx), rand_angle(rng, ctx), rand_angle(rng, ctx)
         el, angle = ast_mul((ex, u), (ey, v), x0)
-        assert same_element(el, xy, ctx), case
+        assert normal_form(el) and same_element(el, xy, ctx), case
+        assert angle == u + v + o_ast_correction(x, y, x0, ctx), case
+
+
+def test_group_law_matches_the_oracle_at_higher_dimension():
+    """m = 4..6 and up to three symbols: trivial prefixes on either side,
+    which the convolution leaves out, zero point coordinates, and the
+    normal form of every product, inverse, commutator and ast_mul."""
+    rng = random.Random(20260401)
+    for case in range(150):
+        level, d = rng.randint(4, 7), rng.randint(1, 3)
+        ctx = context(level, d)
+        m = rng.randint(4, min(level, 6))
+        x = rand_oracle_element(rng, ctx, m, prefix=rng.choice([0, 0, 1, 2, m]))
+        y = rand_oracle_element(rng, ctx, m, prefix=rng.choice([0, 0, 1, 3]))
+        ex, ey = element_of(x, ctx), element_of(y, ctx)
+        point = [rand_angle(rng, ctx) if rng.random() < 0.6 else ZERO for _ in range(m + 1)]
+        xy = o_star(x, y, ctx)
+        x_inv, y_inv = o_inverse(x, ctx), o_inverse(y, ctx)
+        star, inv = ex * ey, ex.inverse()
+        assert normal_form(star) and same_element(star, xy, ctx), case
+        assert normal_form(inv) and same_element(inv, x_inv, ctx), case
+        assert same_element(ey.inverse(), y_inv, ctx), case
+        assert ex.act(point) == o_act(x, point, ctx), case
+        com = commutator(ex, ey)
+        expected = o_star(o_star(o_star(x_inv, y_inv, ctx), x, ctx), y, ctx)
+        assert normal_form(com) and same_element(com, expected, ctx), case
+        u, v, x0 = rand_angle(rng, ctx), rand_angle(rng, ctx), rand_angle(rng, ctx)
+        el, angle = ast_mul((ex, u), (ey, v), x0)
+        assert normal_form(el) and same_element(el, xy, ctx), case
         assert angle == u + v + o_ast_correction(x, y, x0, ctx), case
 
 
