@@ -35,7 +35,7 @@ ORACLE_MAX_COORD_STEPS = 2 * ORACLE_MAX_STEPS
 
 # `factor-lab kernel` work per sample grows about as factor_m**3 and with
 # the size of L!, so samples * factor_m**3 is capped too.  A run at the caps
-# takes about 12 s at level 6 and up to 90 s at level 400 (2 vCPUs).
+# takes about 7 s at level 6 and up to 60 s at level 400 (2 vCPUs).
 KERNEL_MAX_SAMPLES = 10_000
 KERNEL_MAX_WORK = KERNEL_MAX_SAMPLES * 3**3
 

@@ -41,11 +41,11 @@ def _convolve(
     """Components of a * b, or of a's inverse when b is None.
 
     Slot k of the product is S_k * b_k and slot k of the inverse is -S_k,
-    where S_k = sum_{j<k} a_{k-j} o b_j with b_0 = id, and b is the inverse
-    itself.  a_1..a_p are zero, so S_k = 0 for k <= p.  Otherwise each row
-    of S_k is one kernel call: the rows of b_{k-1-p}, ..., b_0, laid end to
-    end, against the stacked columns of a_{p+1}, a_{p+2}, ...  The inverse
-    negates those columns, as (-f) o g = -(f o g).
+    where S_k = sum_{j<k} a_{k-j} o b_j with b_0 = id; for the inverse, b
+    is the inverse itself.  a_1..a_p are zero, so S_k = 0 for k <= p.
+    Each row of S_k is one kernel call: the rows of b_{k-1-p}, ..., b_0,
+    laid end to end, against the stacked columns of a_{p+1}, a_{p+2}, ...
+    The inverse negates those columns, as (-f) o g = -(f o g).
     """
     ctx = a[0].ctx
     M, m, w = ctx.modulus, len(a) - 1, 1 + len(ctx.basis.symbols)

@@ -112,7 +112,8 @@ def rand_oracle_endo(rng, ctx):
 def rand_oracle_element(rng, ctx, m, prefix=0):
     """Random components; the first prefix after the identity are zero maps."""
     zero = o_power(0, ctx)
-    return [o_power(1, ctx)] + [zero if k < prefix else rand_oracle_endo(rng, ctx) for k in range(m)]
+    rest = [zero if k < prefix else rand_oracle_endo(rng, ctx) for k in range(m)]
+    return [o_power(1, ctx)] + rest
 
 
 def endo_of(f, ctx):
@@ -176,9 +177,9 @@ def test_rows_match_the_angle_oracle():
         ex, ey = element_of(x, ctx), element_of(y, ctx)
         point = [rand_angle(rng, ctx) if rng.random() < 0.8 else ZERO for _ in range(m + 1)]
         xy = o_star(x, y, ctx)
-        assert normal_form(ex * ey) and same_element(ex * ey, xy, ctx), case
-        x_inv = o_inverse(x, ctx)
-        assert normal_form(ex.inverse()) and same_element(ex.inverse(), x_inv, ctx), case
+        star, x_inv, inv = ex * ey, o_inverse(x, ctx), ex.inverse()
+        assert normal_form(star) and same_element(star, xy, ctx), case
+        assert normal_form(inv) and same_element(inv, x_inv, ctx), case
         assert ex.act(point) == o_act(x, point, ctx), case
         com = o_star(o_star(o_star(x_inv, o_inverse(y, ctx), ctx), x, ctx), y, ctx)
         ex_ey = commutator(ex, ey)
