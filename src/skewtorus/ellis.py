@@ -17,8 +17,8 @@ composition.  The integer points tilde(n) have binom(n, k) in slot k
 and embed (Z, +); elements act on (m+1)-tuples of angles by the same
 triangular convolution, and the tower's extension law ast_mul glues an
 m-dimensional element to a circle coordinate via a correction cocycle
-evaluated at the tower's base point.  Each such sum runs
-:func:`skewtorus.endo.kernel` once per output row.
+evaluated at the tower's base point.  Each such sum, and each solve of
+phi * z = psi, runs :func:`skewtorus.endo.kernel` once per output row.
 """
 
 from __future__ import annotations
@@ -36,34 +36,41 @@ from .errors import ConfigurationError, MembershipError
 
 
 def _convolve(
-    a: Sequence[TruncEndo], b: Sequence[TruncEndo] | None, p: int
+    a: Sequence[TruncEndo], b: Sequence[TruncEndo] | None, p: int, solve: bool = False
 ) -> tuple[TruncEndo, ...]:
-    """Components of a * b, or of a's inverse when b is None.
-
-    Slot k of the product is S_k * b_k and slot k of the inverse is -S_k,
-    where S_k = sum_{j<k} a_{k-j} o b_j with b_0 = id; for the inverse, b
-    is the inverse itself.  a_1..a_p are zero, so S_k = 0 for k <= p.
-    Each row of S_k is one kernel call: the rows of b_{k-1-p}, ..., b_0,
-    laid end to end, against the stacked columns of a_{p+1}, a_{p+2}, ...
-    The inverse negates those columns, as (-f) o g = -(f o g).
-    """
+    """Components of a * b or, with solve, of the z with a * z = b (b = None
+    is the identity: a's inverse).  a_1..a_p are zero, so slot k <= p is b_k,
+    and slot p+1 of a * b is a_{p+1} * b_{p+1}.  From p+2 on, each row of
+    slot k is one kernel call: the rows of b_k (the head block) and of
+    b_{k-1-p}, ..., b_0 = id end to end, against the stacked columns of id,
+    a_{p+1}, ...  Solve runs z_k = b_k - sum_{j<k} a_{k-j} o z_j so from p+1
+    on, against its own slots and a's columns negated, as (-f) o g = -(f o g);
+    the inverse has no head block."""
     ctx = a[0].ctx
     M, m, w = ctx.modulus, len(a) - 1, 1 + len(ctx.basis.symbols)
     cols = stack(a[p + 1 :])
-    if b is None:
+    if solve:
         cols = [tuple(map(neg, c)) for c in cols]
     out = list(a[: p + 1]) if b is None else [a[0], *b[1 : p + 1]]
-    right = out if b is None else b
-    # the residues and the rows of b_0 = id, b_1, ..., the latest first
-    residues = [1]
-    vecs = [[0] * i + [1] + [0] * (w - 1 - i) for i in range(1, w)]
+    right, head = (out if solve else b), b is not None
+    cols = [i + c for i, c in zip(stack(a[:1]), cols)] if head else cols
+    # the residues and rows of the head, then of b_0 = id, b_1, ..., the latest first
+    residues, h = [0] * head + [1], head * w
+    vecs = [[0] * (h + i) + [1] + [0] * (w - 1 - i) for i in range(1, w)]
     for k in range(p + 1, m + 1):
-        residue = sum(map(mul, residues, cols[0][::w])) % M
-        s = TruncEndo._from_rows(ctx, residue, tuple([kernel(v, cols, M) for v in vecs]))
-        out.append(s if b is None else s * b[k])
-        residues.insert(0, right[k - p].residue)
+        if k == p + 1 and not solve:
+            out.append(a[k] * b[k])
+        else:
+            if head:
+                residues[0] = b[k].residue
+                for v, row in zip(vecs, b[k].rows):
+                    v[:w] = row
+            residue = sum(map(mul, residues, cols[0][::w])) % M
+            rows = tuple([kernel(v, cols, M) for v in vecs])
+            out.append(TruncEndo._from_rows(ctx, residue, rows))
+        residues.insert(head, right[k - p].residue)
         for v, row in zip(vecs, right[k - p].rows):
-            v[:0] = row
+            v[h:h] = row
     return tuple(out)
 
 
@@ -138,7 +145,7 @@ class HmElement:
 
     def inverse(self) -> "HmElement":
         """Two-sided inverse, built by triangular back-substitution."""
-        return HmElement(self.ctx, _convolve(self.comps, None, self.central_level()))
+        return HmElement(self.ctx, _convolve(self.comps, None, self.central_level(), True))
 
     def truncate(self, new_m: int) -> "HmElement":
         if not 1 <= new_m <= self.m:
@@ -211,7 +218,9 @@ class HmElement:
 
 
 def commutator(a: HmElement, b: HmElement) -> HmElement:
-    return a.inverse() * b.inverse() * a * b
+    """a^-1 * b^-1 * a * b, the z with (b * a) * z = a * b: two stars and a solve."""
+    ba = b * a
+    return HmElement(a.ctx, _convolve(ba.comps, (a * b).comps, ba.central_level(), True))
 
 
 def predicted_commutator(a: HmElement, b: HmElement, k: int) -> HmElement:
@@ -255,6 +264,6 @@ def ast_mul(
     # evaluation is additive: the cocycle is sum_{0<j<m} phi_{m-j}(psi_j(x0))
     ctx = phi.ctx
     M, x0_row = ctx.modulus, ctx.row(x0)
-    images = [kernel(x0_row, stack((g,)), M) for g in reversed(psi.comps[1:])]
+    images = [kernel(x0_row, g._columns(), M) for g in reversed(psi.comps[1:])]
     corr = kernel(tuple(chain.from_iterable(images)), stack(phi.comps[1:]), M)
     return phi * psi, x + y + ctx.angle(corr)

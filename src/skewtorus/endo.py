@@ -134,6 +134,7 @@ class TruncEndo:
     ctx: TruncationContext
     residue: int
     rows: tuple[Row, ...]
+    _cols: list[Row] | None = field(repr=False, compare=False)  # see _columns
 
     def __init__(
         self, ctx: TruncationContext, residue: int, images: Sequence[Angle]
@@ -145,6 +146,7 @@ class TruncEndo:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "residue", residue % ctx.modulus)
         object.__setattr__(self, "rows", tuple(map(ctx.row, images)))
+        object.__setattr__(self, "_cols", None)
 
     @classmethod
     def _from_rows(
@@ -155,6 +157,7 @@ class TruncEndo:
         object.__setattr__(endo, "ctx", ctx)
         object.__setattr__(endo, "residue", residue)
         object.__setattr__(endo, "rows", rows)
+        object.__setattr__(endo, "_cols", None)
         return endo
 
     @classmethod
@@ -205,9 +208,15 @@ class TruncEndo:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ConfigurationError("operands live in different contexts")
 
+    def _columns(self) -> list[Row]:
+        """stack((self,)), kept with the map from its first evaluation on."""
+        if self._cols is None:
+            object.__setattr__(self, "_cols", stack((self,)))
+        return self._cols
+
     def __call__(self, a: Angle) -> Angle:
         ctx = self.ctx
-        return ctx.angle(kernel(ctx.row(a), stack((self,)), ctx.modulus))
+        return ctx.angle(kernel(ctx.row(a), self._columns(), ctx.modulus))
 
     def __mul__(self, other: "TruncEndo") -> "TruncEndo":
         """Pointwise sum of circle-valued maps (the ambient group law)."""
@@ -227,7 +236,7 @@ class TruncEndo:
     def compose(self, other: "TruncEndo") -> "TruncEndo":
         """self after other: the kernel of self over the rows of other."""
         self._require_ctx(other)
-        M, cols = self.ctx.modulus, stack((self,))
+        M, cols = self.ctx.modulus, self._columns()
         rows = tuple([kernel(row, cols, M) for row in other.rows])
         return TruncEndo._from_rows(self.ctx, self.residue * other.residue % M, rows)
 

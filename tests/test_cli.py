@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -367,20 +368,25 @@ def test_factor_lab_kernel_rejects_zero_samples(capsys):
 
 
 def test_factor_lab_kernel_caps_samples_times_factor_m_cubed(tmp_path, capsys):
-    # at factor_m = 16 the work cap admits 65 samples; one more exits 3
-    path = tmp_path / "m16.json"
-    path.write_text(json.dumps({"level": 16, "factor_m": FACTOR_MAX_M}))
-    samples = KERNEL_MAX_WORK // FACTOR_MAX_M**3 + 1
-    argv = ["factor-lab", "kernel", "--seed", "1", "--samples", str(samples),
-            "--config", str(path)]
-    assert main(argv) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    work = samples * FACTOR_MAX_M**3
-    assert (f"--samples * factor_m**3 = {samples} * {FACTOR_MAX_M}**3 = {work} "
-            f"exceeds the cap of {KERNEL_MAX_WORK}") in err
-    argv[argv.index("--samples") + 1] = "1"
-    assert main(argv) == 0
+    # the cap is KERNEL_MAX_WORK at level 6 (6! has 10 bits) and shrinks
+    # with the bit length of L!; one sample over it exits 3, one sample runs
+    for level, m in [(6, 6), (16, FACTOR_MAX_M), (400, 3)]:
+        path = tmp_path / f"level{level}.json"
+        path.write_text(json.dumps({"level": level, "factor_m": m}))
+        cap = KERNEL_MAX_WORK * (256 + 10) // (256 + factorial(level).bit_length())
+        assert (cap == KERNEL_MAX_WORK) == (level == 6)
+        samples = cap // m**3 + 1
+        argv = ["factor-lab", "kernel", "--seed", "1", "--samples", str(samples),
+                "--config", str(path)]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        work = samples * m**3
+        assert (f"--samples * factor_m**3 = {samples} * {m}**3 = {work} "
+                f"exceeds the cap of {cap} at level {level}") in err
+        argv[argv.index("--samples") + 1] = "1"
+        assert main(argv) == 0
+        capsys.readouterr()
 
 
 def test_factor_lab_requires_subcommand(capsys):

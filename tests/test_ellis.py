@@ -10,13 +10,15 @@ whose commutator is trivial up to the top slot, where it sends the b1
 generator to the half turn.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from skewtorus.circle import Angle, BasisDecl, ZERO
-from skewtorus.ellis import HmElement, ast_mul, commutator, predicted_commutator
+from skewtorus.ellis import HmElement, _convolve, ast_mul, commutator, predicted_commutator
 from skewtorus.endo import TruncEndo, TruncationContext
+from skewtorus.samplers import rand_element
 from skewtorus.errors import ConfigurationError, MembershipError
 
 F = Fraction
@@ -231,3 +233,55 @@ def test_serialization_round_trip():
         HmElement.from_dict({**data, "m": 2}, CTX)
     with pytest.raises(ConfigurationError):
         HmElement.from_dict({"comps": "nope"}, CTX)
+
+
+# ------------------------------------------- the convolution's three modes
+
+
+def termwise_star(a, b):
+    """(a * b)_k = b_k * sum_{j<k} a_{k-j} o b_j, one compose and one * per term."""
+    comps = []
+    for k in range(a.m + 1):
+        s = b.comps[k]
+        for j in range(k):
+            s = s * a.comps[k - j].compose(b.comps[j])
+        comps.append(s)
+    return HmElement(a.ctx, tuple(comps))
+
+
+def solve(a, b):
+    """The z with a * z = b, by the convolution's solve mode."""
+    return HmElement(a.ctx, _convolve(a.comps, b.comps, a.central_level(), True))
+
+
+def seeded_pairs():
+    """Members at four shapes with trivial prefixes 0, 1, m-1 and m on the
+    left (each prefix also on the right once), plus m = 1."""
+    rng = random.Random(20261019)
+    shapes = [(6, 4, 2), (6, 6, 2), (6, 4, 3), (8, 4, 2), (6, 1, 2), (7, 1, 1)]
+    for level, m, d in shapes:
+        ctx = TruncationContext(level, BasisDecl.from_decimals(
+            {s: "0." + str(7 * i + 3) * 40 for i, s in enumerate(["b1", "b2", "b3"][:d])}))
+        for p in sorted({0, 1, m - 1, m}):
+            for q in (0, 0, p):
+                yield rand_element(rng, ctx, m, p), rand_element(rng, ctx, m, q)
+
+
+def test_product_matches_the_termwise_oracle():
+    for case, (a, b) in enumerate(seeded_pairs()):
+        assert a * b == termwise_star(a, b), case
+        assert b * a == termwise_star(b, a), case
+
+
+def test_solve_mode_inverts_the_left_factor():
+    for case, (a, b) in enumerate(seeded_pairs()):
+        z = solve(a, b)
+        assert a * z == b, case
+        assert z == a.inverse() * b, case
+        assert solve(a, HmElement.identity(a.ctx, a.m)) == a.inverse(), case
+
+
+def test_commutator_is_the_four_factor_product():
+    for case, (a, b) in enumerate(seeded_pairs()):
+        assert commutator(a, b) == a.inverse() * b.inverse() * a * b, case
+        assert commutator(b, a) == b.inverse() * a.inverse() * b * a, case
