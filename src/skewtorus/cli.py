@@ -36,7 +36,7 @@ ORACLE_MAX_COORD_STEPS = 2 * ORACLE_MAX_STEPS
 # `factor-lab kernel` work per sample grows about as factor_m**3 * (256 + bits
 # of L!), so samples * factor_m**3 is capped at KERNEL_MAX_WORK at level 6
 # (6! has 10 bits) and at (256 + 10) / (256 + bits) of it at level L.  A run
-# at the caps takes 6-9 s at every level (2 vCPUs, Python 3.11).
+# at the caps takes 6-11 s at every level (2 vCPUs, Python 3.11).
 KERNEL_MAX_SAMPLES = 10_000
 KERNEL_MAX_WORK = KERNEL_MAX_SAMPLES * 3**3
 

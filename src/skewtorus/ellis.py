@@ -43,9 +43,9 @@ def _convolve(
     and slot p+1 of a * b is a_{p+1} * b_{p+1}.  From p+2 on, each row of
     slot k is one kernel call: the rows of b_k (the head block) and of
     b_{k-1-p}, ..., b_0 = id end to end, against the stacked columns of id,
-    a_{p+1}, ...  Solve runs z_k = b_k - sum_{j<k} a_{k-j} o z_j so from p+1
-    on, against its own slots and a's columns negated, as (-f) o g = -(f o g);
-    the inverse has no head block."""
+    a_{p+1}, ...  Solve runs z_k = b_k - sum_{j<k} a_{k-j} o z_j this way from
+    p+1 on, against its own slots and a's columns negated, as (-f) o g =
+    -(f o g); the inverse has no head block."""
     ctx = a[0].ctx
     M, m, w = ctx.modulus, len(a) - 1, 1 + len(ctx.basis.symbols)
     cols = stack(a[p + 1 :])

@@ -13,8 +13,8 @@ are rationally independent, so the coefficients c_i carry no relations.
 An endomorphism of the ambient group restricted to A_L is determined by
 a residue r mod M (its action on torsion: p/M -> r p/M) and one row per
 declared symbol i, the image (p_i, c_i1, ..., c_id) of the generator
-b_i/M.  A :class:`TruncEndo` stores exactly that: ``ctx``, ``residue``
-and ``rows``, a matrix with the torsion row (r, 0, ..., 0) on top.  The
+b_i/M.  A :class:`TruncEndo` stores that (``ctx``, ``residue``, ``rows``)
+and, once used, its columns: a matrix with the torsion row on top.  The
 one row kernel, :func:`kernel`, applies it to the row (p, c),
 
     torsion  r p + sum_i c_i p_i  (mod M),   coefficient j  sum_i c_i c_ij,
@@ -209,7 +209,7 @@ class TruncEndo:
             raise ConfigurationError("operands live in different contexts")
 
     def _columns(self) -> list[Row]:
-        """stack((self,)), kept with the map from its first evaluation on."""
+        """stack((self,)), kept with the map from its first use on."""
         if self._cols is None:
             object.__setattr__(self, "_cols", stack((self,)))
         return self._cols
