@@ -254,14 +254,21 @@ def solve(a, b):
     return HmElement(a.ctx, _convolve(a.comps, b.comps, a.central_level(), True))
 
 
+DECIMALS = {  # fractional parts of sqrt(2), sqrt(3) and sqrt(5)
+    "b1": "0.4142135623730950488016887242096980785697",
+    "b2": "0.7320508075688772935274463415058723669428",
+    "b3": "0.2360679774997896964091736687312762354406",
+}
+
+
 def seeded_pairs():
     """Members at four shapes with trivial prefixes 0, 1, m-1 and m on the
     left (each prefix also on the right once), plus m = 1."""
     rng = random.Random(20261019)
     shapes = [(6, 4, 2), (6, 6, 2), (6, 4, 3), (8, 4, 2), (6, 1, 2), (7, 1, 1)]
     for level, m, d in shapes:
-        ctx = TruncationContext(level, BasisDecl.from_decimals(
-            {s: "0." + str(7 * i + 3) * 40 for i, s in enumerate(["b1", "b2", "b3"][:d])}))
+        basis = BasisDecl.from_decimals(dict(list(DECIMALS.items())[:d]))
+        ctx = TruncationContext(level, basis)
         for p in sorted({0, 1, m - 1, m}):
             for q in (0, 0, p):
                 yield rand_element(rng, ctx, m, p), rand_element(rng, ctx, m, q)
