@@ -16,15 +16,16 @@ where the sum is the pointwise addition of circle-valued maps and o is
 composition.  The integer points tilde(n) have binom(n, k) in slot k
 and embed (Z, +); elements act on (m+1)-tuples of angles by the same
 triangular convolution, and the tower's extension law ast_mul glues an
-m-dimensional element to a circle coordinate via a correction cocycle
-evaluated at the tower's base point.  Each such sum, and each solve of
-phi * z = psi, runs :func:`skewtorus.endo.kernel` once per output row.
+element to a circle coordinate via a correction cocycle: slot m of the
+group law one dimension up, evaluated at the tower's base point.  Products
+and the cocycle run the one loop of :func:`_convolve`, inverses and
+commutators its solve mode for phi * z = psi; it calls
+:func:`skewtorus.endo.kernel` once per output row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import factorial
 from operator import mul, neg
 from typing import Mapping, Sequence
@@ -36,41 +37,39 @@ from .errors import ConfigurationError, MembershipError
 
 
 def _convolve(
-    a: Sequence[TruncEndo], b: Sequence[TruncEndo] | None, p: int, solve: bool = False
+    a: Sequence[TruncEndo], b: Sequence[TruncEndo], solve: bool = False
 ) -> tuple[TruncEndo, ...]:
-    """Components of a * b or, with solve, of the z with a * z = b (b = None
-    is the identity: a's inverse).  a_1..a_p are zero, so slot k <= p is b_k,
-    and slot p+1 of a * b is a_{p+1} * b_{p+1}.  From p+2 on, each row of
-    slot k is one kernel call: the rows of b_k (the head block) and of
-    b_{k-1-p}, ..., b_0 = id end to end, against the stacked columns of id,
-    a_{p+1}, ...  Solve runs z_k = b_k - sum_{j<k} a_{k-j} o z_j this way from
-    p+1 on, against its own slots and a's columns negated, as (-f) o g =
-    -(f o g); the inverse has no head block."""
+    """Components of a * b or, with solve, of the z with a * z = b.  Row i
+    of slot k is one kernel call: row i of b_k, ..., b_1, b_0 = id end to
+    end, against stack(a), the columns of a_0 = id, a_1, ... end to end, so
+    block j of the rows meets block j of the columns.  Slot 1 of a product
+    is the pointwise sum a_1 * b_1 (a_0 o b_1 + a_1 o b_0).  Solve runs
+    z_k = b_k - sum_{j<k} a_{k-j} o z_j the same way, with the columns of
+    a_1, ... negated, as (-f) o g = -(f o g), and each z_k written over b_k
+    in the rows."""
     ctx = a[0].ctx
-    M, m, w = ctx.modulus, len(a) - 1, 1 + len(ctx.basis.symbols)
-    cols = stack(a[p + 1 :])
+    M, w = ctx.modulus, 1 + len(ctx.basis.symbols)
+    cols = stack(a)
     if solve:
-        cols = [tuple(map(neg, c)) for c in cols]
-    out = list(a[: p + 1]) if b is None else [a[0], *b[1 : p + 1]]
-    right, head = (out if solve else b), b is not None
-    cols = [i + c for i, c in zip(stack(a[:1]), cols)] if head else cols
-    # the residues and rows of the head, then of b_0 = id, b_1, ..., the latest first
-    residues, h = [0] * head + [1], head * w
-    vecs = [[0] * (h + i) + [1] + [0] * (w - 1 - i) for i in range(1, w)]
-    for k in range(p + 1, m + 1):
-        if k == p + 1 and not solve:
-            out.append(a[k] * b[k])
-        else:
-            if head:
-                residues[0] = b[k].residue
-                for v, row in zip(vecs, b[k].rows):
-                    v[:w] = row
-            residue = sum(map(mul, residues, cols[0][::w])) % M
-            rows = tuple([kernel(v, cols, M) for v in vecs])
-            out.append(TruncEndo._from_rows(ctx, residue, rows))
-        residues.insert(head, right[k - p].residue)
-        for v, row in zip(vecs, right[k - p].rows):
-            v[h:h] = row
+        cols = [c[:w] + tuple(map(neg, c[w:])) for c in cols]
+    out = [a[0]]
+    # the residues and rows of b_k, ..., b_1, b_0 = id, the latest first
+    residues = [1]
+    vecs = [[0] * i + [1] + [0] * (w - 1 - i) for i in range(1, w)]
+    for k in range(1, len(a)):
+        residues.insert(0, b[k].residue)
+        for v, row in zip(vecs, b[k].rows):
+            v[:0] = row
+        if k == 1 and not solve:
+            out.append(a[1] * b[1])
+            continue
+        residue = sum(map(mul, residues, cols[0][::w])) % M
+        rows = tuple([kernel(v, cols, M) for v in vecs])
+        out.append(TruncEndo._from_rows(ctx, residue, rows))
+        if solve:
+            residues[0] = residue
+            for v, row in zip(vecs, rows):
+                v[:w] = row
     return tuple(out)
 
 
@@ -141,11 +140,12 @@ class HmElement:
         if not isinstance(other, HmElement):
             return NotImplemented
         self._require_compatible(other)
-        return HmElement(self.ctx, _convolve(self.comps, other.comps, self.central_level()))
+        return HmElement(self.ctx, _convolve(self.comps, other.comps))
 
     def inverse(self) -> "HmElement":
-        """Two-sided inverse, built by triangular back-substitution."""
-        return HmElement(self.ctx, _convolve(self.comps, None, self.central_level(), True))
+        """Two-sided inverse: the solve of self * z = id = (id, 0, ..., 0)."""
+        zero = TruncEndo.power(self.ctx, 0)
+        return HmElement(self.ctx, _convolve(self.comps, [self.comps[0]] + [zero] * self.m, True))
 
     def truncate(self, new_m: int) -> "HmElement":
         if not 1 <= new_m <= self.m:
@@ -220,7 +220,7 @@ class HmElement:
 def commutator(a: HmElement, b: HmElement) -> HmElement:
     """a^-1 * b^-1 * a * b, the z with (b * a) * z = a * b: two stars and a solve."""
     ba = b * a
-    return HmElement(a.ctx, _convolve(ba.comps, (a * b).comps, ba.central_level(), True))
+    return HmElement(a.ctx, _convolve(ba.comps, (a * b).comps, True))
 
 
 def predicted_commutator(a: HmElement, b: HmElement, k: int) -> HmElement:
@@ -261,9 +261,8 @@ def ast_mul(
     phi, x = a
     psi, y = b
     phi._require_compatible(psi)
-    # evaluation is additive: the cocycle is sum_{0<j<m} phi_{m-j}(psi_j(x0))
-    ctx = phi.ctx
-    M, x0_row = ctx.modulus, ctx.row(x0)
-    images = [kernel(x0_row, g._columns(), M) for g in reversed(psi.comps[1:])]
-    corr = kernel(tuple(chain.from_iterable(images)), stack(phi.comps[1:]), M)
-    return phi * psi, x + y + ctx.angle(corr)
+    # one dimension up with zero m-th components, slot m of the product is
+    # the cocycle sum_{0<j<m} phi_{m-j} o psi_j; evaluation is additive
+    zero = (TruncEndo.power(phi.ctx, 0),)
+    *comps, top = _convolve(phi.comps + zero, psi.comps + zero)
+    return HmElement(phi.ctx, tuple(comps)), x + y + top(x0)

@@ -28,7 +28,6 @@ trivial and the top component kills every listed generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .circle import Angle, ZERO, format_point
@@ -36,6 +35,8 @@ from .dynamics import q_eval
 from .ellis import HmElement
 from .endo import TruncationContext, TruncEndo
 from .errors import ConfigurationError, MembershipError, RelationError
+
+HALF_TURN = Angle._make(2, 1, ())  # 1/2 in normal form
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def qef_index_family(cfg: FactorConfig) -> list[tuple[Angle, ...]]:
     M = ctx.modulus
     x = cfg.point
     t = ctx.torsion_generator()  # 1/M
-    torsion = [t, 2 * t, Angle(Fraction(1, 2)), -t]
+    torsion = [t, 2 * t, HALF_TURN, -t]
     x_mult = [j * x for j in (-3, -2, -1, 1, 2, 3, 4)]
     mixed = [2 * x + t, x + t, (M // 2) * x]
     others = [
@@ -228,9 +229,7 @@ def nonseparation_witness(
     """
     ctx = cfg.ctx
     zero = TruncEndo.power(ctx, 0)
-    half_at_x = {s: ZERO for s in ctx.basis.symbols}
-    half_at_x[cfg.x_symbol] = Angle(Fraction(1, 2))
-    psi2 = TruncEndo.make(ctx, 0, half_at_x)
+    psi2 = TruncEndo.make(ctx, 0, {cfg.x_symbol: HALF_TURN})
     comps = [TruncEndo.power(ctx, 1), zero, psi2] + [zero] * (cfg.m - 2)
     try:
         witness = HmElement.validate(ctx, comps)
@@ -258,12 +257,8 @@ def nonseparation_witness(
     control_separates = q_eval(control, witness) != q_eval(control, ident)
 
     # degenerate twin: same shape, but component 2 kills x
-    degen_images = {s: ZERO for s in ctx.basis.symbols}
-    for s in ctx.basis.symbols:
-        if s != cfg.x_symbol:
-            degen_images[s] = Angle(Fraction(1, 2))
-            break
-    degen2 = TruncEndo.make(ctx, 0, degen_images)
+    others = [s for s in ctx.basis.symbols if s != cfg.x_symbol]
+    degen2 = TruncEndo.make(ctx, 0, {s: HALF_TURN for s in others[:1]})
     degen = HmElement.validate(
         ctx, [TruncEndo.power(ctx, 1), zero, degen2] + [zero] * (cfg.m - 2)
     )

@@ -7,14 +7,13 @@ order, so the check suites and `factor-lab kernel` reproduce for a seed.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import factorial
 
 from .circle import Angle, ZERO
 from .combinatorics import binom
 from .ellis import HmElement
 from .endo import TruncEndo, TruncationContext
-from .factor_lab import FactorConfig, KernelSpec
+from .factor_lab import HALF_TURN, FactorConfig, KernelSpec
 
 
 def rand_angle(rng: random.Random, ctx: TruncationContext, span: int = 2) -> Angle:
@@ -83,7 +82,7 @@ def rand_g1(rng: random.Random, fac: FactorConfig, in_g: bool = False) -> HmElem
         imgs = []
         for s in ctx.basis.symbols:
             if k == 1 and s == fac.x_symbol:
-                imgs.append(Angle(Fraction(1, 2)) if rng.random() < 0.5 else ZERO)
+                imgs.append(HALF_TURN if rng.random() < 0.5 else ZERO)
             else:
                 img = rand_angle(rng, ctx)
                 imgs.append(ZERO if in_g and k == 2 and s == fac.x_symbol else img)

@@ -244,6 +244,8 @@ def equidistribution_report(
 ) -> WeylReport:
     if not 0 < tol < math.inf:  # NaN fails too
         raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
+    if N < 1:
+        raise ValueError(f"sample count must be >= 1, got {N}")
     if N * len(shifts) > MAX_SAMPLES:
         raise ConfigurationError(
             f"N = {N} at {len(shifts)} shift(s) is {N * len(shifts)} samples, "

@@ -138,7 +138,7 @@ def test_weyl_failing_tolerance_exits_two(capsys):
     assert report["pass"] is False
 
 
-def test_weyl_argument_validation(capsys):
+def test_weyl_argument_validation(capsys, monkeypatch):
     assert main(["weyl", "--N", "10"]) == 3  # neither --poly nor --char
     assert (
         main(["weyl", "--poly", "b1*C(n,1)", "--char", "1", "--N", "10"]) == 3
@@ -149,6 +149,15 @@ def test_weyl_argument_validation(capsys):
     )
     assert main(["weyl", "--char", "5", "--N", "10"]) == 3  # system has m=2
     capsys.readouterr()
+    # a sample count below 1 is refused before the period target is summed
+    targets = []
+    monkeypatch.setattr(skewtorus.weyl, "equidistribution_target",
+                        lambda *args: targets.append(args))
+    for n in ("0", "-3"):
+        assert main(["weyl", "--poly", "1/999983*C(n,64)", "--N", n, "--shifts", "0"]) == 3
+        assert "sample count must be >= 1" in capsys.readouterr().err
+    assert targets == []
+    monkeypatch.undo()
     # shift values are ASCII digits only
     for shifts in ["١٢", "²", "--5", ""]:
         argv = ["weyl", "--poly", "b1*C(n,1)", "--N", "10", f"--shifts={shifts}"]

@@ -251,7 +251,7 @@ def termwise_star(a, b):
 
 def solve(a, b):
     """The z with a * z = b, by the convolution's solve mode."""
-    return HmElement(a.ctx, _convolve(a.comps, b.comps, a.central_level(), True))
+    return HmElement(a.ctx, _convolve(a.comps, b.comps, True))
 
 
 DECIMALS = {  # fractional parts of sqrt(2), sqrt(3) and sqrt(5)
