@@ -74,8 +74,8 @@ class Config:
 MAX_LEVEL = 400
 
 # Largest factor_m.  Factor-lab work grows about as factor_m**3: at level
-# 400 a `factor-lab kernel` sample takes 0.5 s at 16 and 5 s at 32, and
-# `factor-lab demo` 0.2 s at 16 and 12 s at 256 (2 vCPUs).
+# 400 a `factor-lab kernel` sample takes 0.5-0.8 s at 16 (8 times that at
+# 32), and `factor-lab demo` 0.2 s at 16 and 12 s at 256 (2 vCPUs).
 FACTOR_MAX_M = 16
 
 

@@ -16,11 +16,10 @@ where the sum is the pointwise addition of circle-valued maps and o is
 composition.  The integer points tilde(n) have binom(n, k) in slot k
 and embed (Z, +); elements act on (m+1)-tuples of angles by the same
 triangular convolution, and the tower's extension law ast_mul glues an
-element to a circle coordinate via a correction cocycle: slot m of the
-group law one dimension up, evaluated at the tower's base point.  Products
-and the cocycle run the one loop of :func:`_convolve`, inverses and
-commutators its solve mode for phi * z = psi; it calls
-:func:`skewtorus.endo.kernel` once per output row.
+element to a circle coordinate via a correction cocycle, slot m of the
+group law one dimension up at the tower's base point.  Products, solves of
+phi * z = psi and the cocycle run :func:`skewtorus.endo.kernel` once per
+output row.
 """
 
 from __future__ import annotations
@@ -144,7 +143,8 @@ class HmElement:
 
     def inverse(self) -> "HmElement":
         """Two-sided inverse: the solve of self * z = id = (id, 0, ..., 0)."""
-        zero = TruncEndo.power(self.ctx, 0)
+        rows = tuple([(0,) * len(r) for r in self.comps[0].rows])
+        zero = TruncEndo._from_rows(self.ctx, 0, rows)  # cheaper than power(ctx, 0)
         return HmElement(self.ctx, _convolve(self.comps, [self.comps[0]] + [zero] * self.m, True))
 
     def truncate(self, new_m: int) -> "HmElement":

@@ -192,8 +192,8 @@ def test_rows_match_the_angle_oracle():
 
 def test_group_law_matches_the_oracle_at_higher_dimension():
     """m = 4..6 and up to three symbols: trivial prefixes on either side,
-    which the convolution leaves out, zero point coordinates, and the
-    normal form of every product, inverse, commutator and ast_mul."""
+    zero point coordinates, and the normal form of every product, inverse,
+    commutator and ast_mul."""
     rng = random.Random(20260401)
     for case in range(150):
         level, d = rng.randint(4, 7), rng.randint(1, 3)
