@@ -11,8 +11,7 @@ assumption recorded with the basis declaration, never checked), so the
 normal form with rat in [0, 1) is unique and equality is decided
 componentwise.  Only the rational part reduces mod 1; the coefficients
 live in Q and carry no relations.  The normal form is held in integers
-over one common denominator (see :class:`Angle`), and parsing and the
-group law build it without Fraction.
+over one common denominator (see :class:`Angle`).
 
 Numeric values of the symbols enter through :meth:`BasisDecl.phase`
 alone (behind :func:`angle_to_unit` and the Weyl phase streams).  No
@@ -24,19 +23,19 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ConfigurationError, ParseError
 
-RationalLike = Union[int, Fraction]
+RationalLike = Union[int, Rational]
 CoeffsLike = Union[Mapping[str, RationalLike], Iterable[tuple[str, RationalLike]]]
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"([0-9]+)(?:[ \t]*/[ \t]*([0-9]+))?")
 _STAR_RE = re.compile(r"[ \t]*\*[ \t]*")
+_DECIMAL_RE = re.compile(r"([0-9]*)\.([0-9]+)")  # a basis value such as 0.4142
 
 # Largest k in a binomial marker C(n,k).  A parse allocates one
 # coefficient per k up to the largest, so the cap bounds that work.
@@ -47,13 +46,14 @@ MAX_BINOM_K = 64
 class BasisDecl:
     """Ordered declaration of irrational basis symbols with numeric values.
 
-    Values are exact rationals read from decimal literals; they are used
-    only when projecting to the unit circle.  Together with 1 they are
-    assumed rationally independent.
+    Each value is an exact (numerator, denominator) pair, read from an
+    ASCII decimal literal ``digits.digits`` as (digits, 10**fractional
+    digits); values are used only when projecting to the unit circle.
+    Together with 1 they are assumed rationally independent.
     """
 
     symbols: tuple[str, ...]
-    values: tuple[Fraction, ...]
+    values: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if len(self.symbols) != len(set(self.symbols)):
@@ -63,22 +63,23 @@ class BasisDecl:
                 raise ConfigurationError(f"invalid basis symbol name {name!r}")
         if len(self.values) != len(self.symbols):
             raise ConfigurationError("basis symbols and values differ in length")
-        for name, value in zip(self.symbols, self.values):
-            if not 0 < value < 1:
+        for name, (n, d) in zip(self.symbols, self.values):
+            if not 0 < n < d:
                 raise ConfigurationError(
-                    f"basis value for {name} must lie in (0, 1), got {value}"
+                    f"basis value for {name} must lie in (0, 1), got {_fraction_text(n, d)}"
                 )
 
     @classmethod
     def from_decimals(cls, decls: Mapping[str, str]) -> "BasisDecl":
         values = []
         for name, text in decls.items():
+            m = _DECIMAL_RE.fullmatch(text)
             try:
-                values.append(Fraction(text))
-            except (ValueError, ZeroDivisionError) as exc:
+                values.append((int(m[1] + m[2]), 10 ** len(m[2])))
+            except (TypeError, ValueError):  # m is None, or past int()'s digit limit
                 raise ConfigurationError(
                     f"basis value for {name} is not a decimal literal: {text!r}"
-                ) from exc
+                ) from None
         return cls(tuple(decls), tuple(values))
 
     def index_of(self, symbol: str) -> int:
@@ -87,7 +88,7 @@ class BasisDecl:
         except ValueError:
             raise ConfigurationError(f"unknown basis symbol {symbol!r}") from None
 
-    def value_of(self, symbol: str) -> Fraction:
+    def value_of(self, symbol: str) -> tuple[int, int]:
         return self.values[self.index_of(symbol)]
 
     def phase(self, a: Angle) -> tuple[int, int]:
@@ -95,8 +96,8 @@ class BasisDecl:
         numerator and a positive denominator, neither reduced nor taken mod 1."""
         n, d = 0, 1  # sum of c * value over the symbols, as n / d
         for sym, c in a.cs:
-            v = self.value_of(sym)
-            n, d = n * v.denominator + c * v.numerator * d, d * v.denominator
+            vn, vd = self.value_of(sym)
+            n, d = n * vd + c * vn * d, d * vd
         return a.num * d + n, a.den * d
 
 
@@ -119,8 +120,8 @@ class Angle:
     int) strictly sorted by symbol, with ``gcd(den, num, *cs) == 1``: the
     angle is ``(num + sum c * symbol) / den``.  A level-L row is the same
     data with ``den | L!``.  The public constructor normalises int and
-    Fraction input; the arithmetic merges integer numerators and divides
-    by one gcd.  ``rat``, ``coeffs`` and ``coeff()`` are Fraction views.
+    other ``numbers.Rational`` input; the arithmetic merges integer
+    numerators and divides by one gcd.
     """
 
     __slots__ = ("den", "num", "cs")
@@ -170,18 +171,7 @@ class Angle:
         raise AttributeError("Angle is immutable")
 
     def __reduce__(self) -> tuple:
-        return Angle, (self.rat, self.coeffs)
-
-    @property
-    def rat(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    @property
-    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
-        return tuple([(s, Fraction(c, self.den)) for s, c in self.cs])
-
-    def coeff(self, symbol: str) -> Fraction:
-        return Fraction(dict(self.cs).get(symbol, 0), self.den)
+        return _make, (self.den, self.num, self.cs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Angle):
@@ -264,7 +254,7 @@ ZERO = Angle()
 
 
 def _fraction_text(n: int, d: int) -> str:
-    """n/d in lowest terms, as str(Fraction(n, d)) writes it."""
+    """n/d in lowest terms: p/q, or p alone when q is 1."""
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 

@@ -1,9 +1,9 @@
 """Run configuration: truncation level, basis literals, defaults for checks.
 
 Configuration is a single JSON object, read from --config or the
-SKEWTORUS_CONFIG environment variable.  Basis values must be decimal
-literals with at least 30 fractional digits in (0, 1); they are kept
-exact and only ever rounded inside the unit-circle projection.  The
+SKEWTORUS_CONFIG environment variable.  Basis values must be ASCII
+decimals ``[0-9]*.[0-9]+`` in (0, 1) with at least 30 fractional digits;
+they are kept exact and only rounded inside the unit-circle projection.  The
 default basis uses sqrt(2)-1 and sqrt(3)-1 to 40 places.
 """
 
@@ -46,10 +46,10 @@ class Config:
     def basis(self) -> BasisDecl:
         decl = BasisDecl.from_decimals(dict(self.basis_decimals))
         for name, text in self.basis_decimals:
-            frac = text.split(".", 1)[1] if "." in text else ""
-            if len(frac) < _MIN_FRACTIONAL_DIGITS:
+            digits = len(text.partition(".")[2])  # text matched [0-9]*.[0-9]+
+            if digits < _MIN_FRACTIONAL_DIGITS:
                 raise ConfigurationError(
-                    f"basis value for {name} has {len(frac)} fractional digits, "
+                    f"basis value for {name} has {digits} fractional digits, "
                     f"need at least {_MIN_FRACTIONAL_DIGITS}"
                 )
         return decl

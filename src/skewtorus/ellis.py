@@ -25,14 +25,21 @@ output row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 from operator import mul, neg
 from typing import Mapping, Sequence
 
 from .circle import Angle
 from .combinatorics import binom
-from .endo import TruncationContext, TruncEndo, kernel, stack
+from .endo import Row, TruncationContext, TruncEndo, kernel, stack
 from .errors import ConfigurationError, MembershipError
+
+
+@cache
+def _identity_rows(d: int) -> tuple[Row, ...]:
+    """The rows (0, e_i) of the identity map on d symbols."""
+    return tuple([(0, *[int(j == i) for j in range(d)]) for i in range(d)])
 
 
 def _convolve(
@@ -100,7 +107,7 @@ class HmElement:
             if e.ctx != ctx:
                 raise ConfigurationError("component built for a different context")
             e.validate()  # checks nothing on rows; perfbench traces this call
-        if comps[0] != TruncEndo.power(ctx, 1):
+        if comps[0].residue != 1 or comps[0].rows != _identity_rows(len(comps[0].rows)):
             raise MembershipError(0, "must be the identity map")
         M = ctx.modulus
         r1 = comps[1].residue

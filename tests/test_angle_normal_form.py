@@ -148,7 +148,7 @@ def rows(draw) -> tuple[TruncationContext, list[int]]:
     """A context whose symbols are declared in any order, and a row of
     unreduced integers for it."""
     symbols = draw(st.lists(st.sampled_from(SYMBOLS), unique=True, max_size=4))
-    values = tuple(Fraction(k, 7) for k in range(1, len(symbols) + 1))
+    values = tuple((k, 7) for k in range(1, len(symbols) + 1))
     ctx = TruncationContext(draw(st.integers(2, 6)), BasisDecl(tuple(symbols), values))
     row = draw(st.lists(integers, min_size=1 + len(symbols), max_size=1 + len(symbols)))
     return ctx, row

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import skewtorus
+from skewtorus.circle import Angle, format_point
 from skewtorus.cli import (
     COMMANDS,
     KERNEL_MAX_SAMPLES,
@@ -418,6 +419,24 @@ def test_check_runs_and_summarizes(capsys):
     assert "timestamp" in summary
 
 
+def test_a_failing_check_formats_its_message_as_an_f_string_would():
+    from skewtorus.checks import SuiteResult
+
+    a, b = Angle.parse("1/3 + 1/2*b1"), Angle.parse("-2/7*b2")
+    rec = SuiteResult("demo")
+    rec.check(True, "never formatted: {}", a)
+    rec.check(False, "assoc fails: {}, {}, {}", a, b, 5)
+    rec.check(False, "constancy fails on {}, {}", a, b)
+    rec.check(False, "a constant message")
+    rec.check(False, "past the third sample: {}", a)
+    assert (rec.cases, rec.failures) == (5, 4)
+    assert rec.samples == [
+        f"assoc fails: {a}, {b}, {5}",
+        f"constancy fails on {format_point((a, b))}",
+        "a constant message",
+    ]
+
+
 def test_check_reproducible_is_byte_identical(capsys):
     argv = ["check", "comb", "--seed", "42", "--reproducible"]
     assert main(argv) == 0
@@ -521,6 +540,13 @@ def test_config_rejections(tmp_path, capsys):
     cases = [
         {"level": 1},
         {"basis": {"b1": "0.5"}},  # too few fractional digits
+        # the basis grammar is ASCII [0-9]*.[0-9]+; each of these has 16-17
+        # real digits or is not plain ASCII digits
+        {"basis": {"b1": "0.4142135623730951e0000000000000000"}},
+        {"basis": {"b1": "0.4_1_4_2_1_3_5_6_2_3_7_3_0_9_5_1_0"}},
+        {"basis": {"b1": "0." + "\u0664" * 32}},  # Arabic-Indic digits
+        {"basis": {"b1": " 0.4142135623730950488016887242096980785697"}},
+        {"basis": {"b1": "0.4142135623730950488016887242096980785697\n"}},
         {"mystery": True},
         {"shifts": [-1]},
         {"system": {"x0": "??"}},
@@ -598,7 +624,8 @@ def test_importing_the_cli_leaves_the_check_suites_unloaded():
     src = str(Path(skewtorus.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, skewtorus.cli; "
-            "print(sorted(m for m in sys.modules if m in ('skewtorus.checks', 'skewtorus.samplers')))")
+            "print(sorted(m for m in sys.modules if m in "
+            "('skewtorus.checks', 'skewtorus.samplers', 'fractions', 'decimal')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert proc.returncode == 0, proc.stderr

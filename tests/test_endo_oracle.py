@@ -168,8 +168,9 @@ def test_rows_match_the_angle_oracle():
         assert ef.is_zero_map() == (f[0] % ctx.modulus == 0 and not any(f[1])), case
 
         # the same map built from angles and from rows
-        rows = tuple((int(img.rat * ctx.modulus), *(int(img.coeff(s) * ctx.modulus)
-                      for s in ctx.basis.symbols)) for img in f[1])
+        rows = tuple((int(F(img.num, img.den) * ctx.modulus),
+                      *(int(F(dict(img.cs).get(s, 0), img.den) * ctx.modulus)
+                        for s in ctx.basis.symbols)) for img in f[1])
         from_rows = TruncEndo._from_rows(ctx, f[0] % ctx.modulus, rows)
         assert from_rows == ef and hash(from_rows) == hash(ef), case
 
