@@ -79,8 +79,7 @@ class SuiteResult:
         return self.failures == 0
 
     def check(self, ok: bool, describe: str, *args: object) -> None:
-        """Count one case.  A failure records describe.format(*args), so
-        a per-case message formats its angles only when the case fails."""
+        """Count one case; a failure records describe.format(*args)."""
         self.cases += 1
         if not ok:
             self.failures += 1
@@ -260,7 +259,9 @@ def _circle_unit_hom(env: CheckEnv, rec: SuiteResult) -> None:
         b = rand_free_angle(rng, env.ctx)
         lhs = angle_to_unit(a + b, env.basis)
         rhs = angle_to_unit(a, env.basis) * angle_to_unit(b, env.basis)
-        rec.check(abs(lhs - rhs) < 1e-12, "unit morphism drift at {}, {}", a, b)
+        rec.check(
+            abs(lhs - rhs) < 1e-12, "unit morphism drift at {}, {}", a, b
+        )
 
 
 @suite("circle.scaling")
@@ -274,7 +275,9 @@ def _circle_scaling(env: CheckEnv, rec: SuiteResult) -> None:
         rec.check(n * (a + b) == n * a + n * b, "scaling additivity: {}, {}, {}", n, a, b)
         rec.check((n + p) * a == n * a + p * a, "scalar addition: {}, {}, {}", n, p, a)
         t = Angle.parse(f"{rng.randrange(1, 60)}/60")
-        rec.check(t.torsion_order() == t.den, "torsion order: {}", t)
+        rec.check(
+            t.torsion_order() == t.den, "torsion order: {}", t
+        )
         rec.check(a.torsion_order() == (None if a.cs else a.den),
                   "torsion classification: {}", a)
 
@@ -292,7 +295,9 @@ def _endo_eval(env: CheckEnv, rec: SuiteResult) -> None:
         b = rand_angle(rng, ctx)
         rec.check(phi(a + b) == phi(a) + phi(b), "additivity: {}, {}", a, b)
         n = rng.randint(-50, 50)
-        rec.check(TruncEndo.power(ctx, n)(a) == n * a, "power map at n={}: {}", n, a)
+        rec.check(
+            TruncEndo.power(ctx, n)(a) == n * a, "power map at n={}: {}", n, a
+        )
     for i, s in enumerate(ctx.basis.symbols):
         phi = rand_endo(rng, ctx)
         rec.check(
@@ -881,13 +886,15 @@ def _factor_constancy(env: CheckEnv, rec: SuiteResult) -> None:
     family = qef_index_family(fac)
     constant = [v for v in family if qef_coset_constant(v, fac)]
     rec.check(len(constant) >= 20, "family has too few constant vectors")
-    # the text of format_point(v), filled in only when a case fails
-    fails_on = "constancy fails on " + ", ".join(["{}"] * (fac.m + 1))
+    fails_on = "constancy fails on " + ", ".join(["{}"] * (fac.m + 1))  # format_point
     for _ in range(50):
         phi = rand_element(rng, fac.ctx, fac.m)
         psi = phi * rand_g1(rng, fac, in_g=True)
         for v in constant:
-            rec.check(q_eval(v, phi) == q_eval(v, psi), fails_on, *v)
+            rec.check(
+                q_eval(v, phi) == q_eval(v, psi),
+                fails_on, *v,
+            )
     # tightness: a classified-nonconstant vector with a same-coset pair
     # that q separates (odd x-multiple at index 2)
     ctx = fac.ctx
@@ -896,7 +903,9 @@ def _factor_constancy(env: CheckEnv, rec: SuiteResult) -> None:
     v[2] = x
     rec.check(not qef_coset_constant(v, fac), "control vector misclassified")
     phi = HmElement.tilde(ctx, 1, fac.m)
-    psi1 = TruncEndo.make(ctx, 1, {fac.x_symbol: x + Angle.parse("1/2")})
+    psi1 = TruncEndo.make(
+        ctx, 1, {fac.x_symbol: x + Angle.parse("1/2")}
+    )
     psi2 = TruncEndo.make(ctx, 0, {fac.x_symbol: Angle.parse("1/2")})
     comps = [TruncEndo.power(ctx, 1), psi1, psi2]
     comps += [TruncEndo.power(ctx, 0)] * (fac.m - 2)

@@ -540,8 +540,8 @@ def test_config_rejections(tmp_path, capsys):
     cases = [
         {"level": 1},
         {"basis": {"b1": "0.5"}},  # too few fractional digits
-        # the basis grammar is ASCII [0-9]*.[0-9]+; each of these has 16-17
-        # real digits or is not plain ASCII digits
+        # basis values are ASCII [0-9]*.[0-9]+: no exponent, underscore,
+        # other digits or blanks padding the fractional digit count
         {"basis": {"b1": "0.4142135623730951e0000000000000000"}},
         {"basis": {"b1": "0.4_1_4_2_1_3_5_6_2_3_7_3_0_9_5_1_0"}},
         {"basis": {"b1": "0." + "\u0664" * 32}},  # Arabic-Indic digits
