@@ -26,10 +26,11 @@ from .errors import ConfigurationError, SkewtorusError
 from .factor_lab import default_kernel_specs, kernel_member, nonseparation_witness
 from .weyl import MAX_SAMPLES, equidistribution_report
 
-# `iterate --oracle` re-runs the orbit one step at a time, about 5-8 us
-# per coordinate step (Python 3.11, 2 vCPUs).  Both |n| and the number of
-# coordinate steps |n|*m are capped, so a run takes 1-1.5 s at most and a
-# larger one exits 3; at the default m = 2 the two caps coincide.
+# `iterate --oracle` re-runs the orbit one step at a time on integer
+# columns (BasicSystem.steps).  Both |n| and the number of coordinate steps
+# |n|*m are capped, so a whole run takes about 0.3 s at most with two
+# symbols (Python 3.11, 2 vCPUs) and a larger one exits 3; at the default
+# m = 2 the two caps coincide.
 ORACLE_MAX_STEPS = 100_000
 ORACLE_MAX_COORD_STEPS = 2 * ORACLE_MAX_STEPS
 
@@ -146,10 +147,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         )
     out: dict = {"point": [str(a) for a in result]}
     if args.oracle:
-        y = tuple(point)
-        for _ in range(abs(args.n)):
-            y = sys_.step(y) if args.n > 0 else sys_.inverse_step(y)
-        out["agrees"] = result == y
+        out["agrees"] = result == sys_.steps(point, args.n)
     _emit(out)
     if args.oracle and not out["agrees"]:
         return 2
@@ -406,8 +404,9 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser with every command, or with `command` alone."""
+def build_parser() -> _Parser:
+    """The parser with every command; `main` parses with it only to report
+    a usage error that the invoked command's own parser lets through."""
     parser = _Parser(
         prog="skewtorus",
         description=(
@@ -415,21 +414,27 @@ def build_parser(command: str | None = None) -> _Parser:
             "towers, with Weyl-sum equidistribution checks."
         ),
     )
-    all_commands = "{" + ",".join(COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser, metavar=all_commands)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name, (help_text, add_arguments) in COMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args, rest = None, None
+    if argv and argv[0] in COMMANDS:
+        # the parser the full one builds for this command, and no other
+        parser = _Parser(prog=f"skewtorus {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
     func = getattr(args, "func", None)
-    if func is None:
-        parser.error("a command is required")
+    if rest or func is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        func = getattr(args, "func", None)
+        if func is None:
+            parser.error("a command is required")
     try:
         return func(args)
     except (SkewtorusError, ValueError) as exc:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .circle import MAX_BINOM_K, Angle, ZERO, parse_binomial_sum
@@ -86,6 +87,35 @@ class BasicSystem:
             out.append(cur)
             prev = cur
         return tuple(out)
+
+    def steps(self, x: Sequence[Angle], n: int) -> tuple[Angle, ...]:
+        """T^n x by |n| single steps, as `step` or `inverse_step` repeated.
+
+        The ambient point (x0, x_1, ..., x_m) is written over one common
+        denominator D as integer columns: the torsion numerators, then one
+        column per symbol that occurs.  A step is integer additions on each
+        column, and Angle's reduction runs once at the end.
+        """
+        self._check_len(x)
+        g = (self.x0, *x)
+        D = lcm(*[a.den for a in g])
+        symbols = sorted({s for a in g for s, _ in a.cs})
+        cols = [[a.num * (D // a.den) for a in g]]
+        cols += [[dict(a.cs).get(s, 0) * (D // a.den) for a in g] for s in symbols]
+        m = self.m
+        for y in cols:
+            if n > 0:
+                for _ in range(n):
+                    for k in range(m, 0, -1):  # y[k - 1] is still the old value
+                        y[k] += y[k - 1]
+            else:
+                for _ in range(-n):
+                    for k in range(1, m + 1):  # y[k - 1] is already the new value
+                        y[k] -= y[k - 1]
+        return tuple(
+            Angle._reduce(D, num, [(s, c) for s, c in zip(symbols, cs) if c])
+            for num, *cs in list(zip(*cols))[1:]
+        )
 
     def iterate(self, x: Sequence[Angle], n: int) -> tuple[Angle, ...]:
         """T^n x in closed form; n may be any integer."""

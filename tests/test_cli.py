@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import skewtorus
+from skewtorus import cli
 from skewtorus.circle import Angle, format_point
 from skewtorus.cli import (
     COMMANDS,
@@ -618,6 +619,28 @@ def test_main_parses_as_the_full_parser_does():
         expected = _run(lambda a: build_parser().parse_args(a), argv)
         assert expected[0] in (0, 3), argv
         assert _run(main, argv) == expected, argv
+
+
+def test_a_valid_call_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert main(["ellis", "star", "--a", tilde_json(2, 3), "--b", tilde_json(3, 3)]) == 0
+    assert built == ["skewtorus ellis"]
+    capsys.readouterr()
+    # a leftover argument is reported by the full parser, with its usage
+    with pytest.raises(SystemExit) as info:
+        main(["iterate", "--n", "1", "extra"])
+    assert info.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: skewtorus [-h] {iterate,weyl,ellis,factor-lab,check} ...")
+    assert err.endswith("skewtorus: error: unrecognized arguments: extra\n")
 
 
 def test_importing_the_cli_leaves_the_check_suites_unloaded():

@@ -6,6 +6,7 @@ repeatedly and never touches a binomial.
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,8 +53,31 @@ def test_iterate_matches_stepping_oracle():
     x = (Angle(F(1, 7)), ZERO, Angle(F(1, 2), {"b1": 4}))
     for n in range(-6, 7):
         assert sys.iterate(x, n) == stepping_oracle(sys, x, n)
+        assert sys.steps(x, n) == stepping_oracle(sys, x, n)
     # flow property
     assert sys.iterate(sys.iterate(x, 9), -4) == sys.iterate(x, 5)
+
+    # the integer stepper on seeded points: torsion and irrational x0, two
+    # and three symbols, denominators that differ from coordinate to coordinate
+    rng = random.Random(2014)
+
+    def angle(symbols, lead=None):
+        d = rng.choice([1, 2, 5, 6, 7, 12, 35])
+        cs = {s: F(rng.randint(-9, 9), rng.choice([1, 3, 4, 10])) for s in symbols}
+        if lead is not None:
+            cs[lead] = F(rng.randint(1, 9), rng.choice([2, 3, 11]))
+        return Angle(F(rng.randrange(d), d), cs)
+
+    for m in [*range(1, 9), 64]:
+        for symbols in (("b1", "b2"), ("b1", "b2", "b3")):
+            for x0 in (angle(()), angle((), lead=symbols[-1])):
+                sys = BasicSystem(m, x0)
+                x = tuple(angle(rng.sample(symbols, rng.randint(0, len(symbols))))
+                          for _ in range(m))
+                for n in (0, rng.randint(1, 300), -rng.randint(1, 300)):
+                    got = sys.steps(x, n)
+                    assert got == stepping_oracle(sys, x, n), (m, symbols, x0, n)
+                    assert got == sys.iterate(x, n)
 
 
 def test_iterate_frozen_coordinates():
