@@ -34,12 +34,10 @@ from .weyl import MAX_SAMPLES, equidistribution_report
 ORACLE_MAX_STEPS = 100_000
 ORACLE_MAX_COORD_STEPS = 2 * ORACLE_MAX_STEPS
 
-# `factor-lab kernel` work per sample grows about as factor_m**3 * (256 + bits
-# of L!), so samples * factor_m**3 is capped at KERNEL_MAX_WORK at level 6
-# (6! has 10 bits) and at (256 + 10) / (256 + bits) of it at level L.  A run
-# at the caps takes 6-11 s at every level (2 vCPUs, Python 3.11).
-KERNEL_MAX_SAMPLES = 10_000
-KERNEL_MAX_WORK = KERNEL_MAX_SAMPLES * 3**3
+# `factor-lab kernel` conjugates in each spec's own dimension s <= 3, which
+# tests what dimension factor_m would: truncation to s is a homomorphism and
+# the spec reads only slots 1..s.  So the cost does not grow with factor_m.
+KERNEL_MAX_SAMPLES = 1_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +57,7 @@ def _note(text: str) -> None:
     sys.stderr.write(f"# {text}\n")
 
 
-def _load_json_arg(text: str) -> dict:
+def _element(text: str, ctx) -> HmElement:
     if text.startswith("@"):
         path = text[1:]
         try:
@@ -73,7 +71,7 @@ def _load_json_arg(text: str) -> dict:
         raise ConfigurationError(f"invalid JSON argument: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError("JSON argument must be an object")
-    return data
+    return HmElement.from_dict(data, ctx)
 
 
 # int() and float() alone would also take other scripts' digits ("١٢"),
@@ -176,10 +174,6 @@ def _cmd_weyl(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
-def _element(args_text: str, ctx) -> HmElement:
-    return HmElement.from_dict(_load_json_arg(args_text), ctx)
-
-
 def _cmd_ellis(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     ctx = cfg.context()
@@ -239,32 +233,27 @@ def _cmd_factor_kernel(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = _need_seed(args, cfg)
     fac = cfg.factor()
-    work = args.samples * fac.m**3
-    cap = KERNEL_MAX_WORK * (256 + 10) // (256 + fac.ctx.modulus.bit_length())
-    if work > cap:
-        raise ConfigurationError(
-            f"--samples * factor_m**3 = {args.samples} * {fac.m}**3 = {work} "
-            f"exceeds the cap of {cap} at level {fac.ctx.level}"
-        )
-    ctx = fac.ctx
     ok = True
     for spec in default_kernel_specs(fac):
-        rng = random.Random(f"{seed}:kernel:{spec.m}")
+        s = spec.m
+        rng = random.Random(f"{seed}:kernel:{s}")
         member_bad = 0
         normal_bad = 0
         for _ in range(args.samples):
-            g = rand_kernel_member(rng, ctx, spec, fac.m)
+            g = rand_kernel_member(rng, fac.ctx, spec, s)
             if not kernel_member(g, spec):
                 member_bad += 1
-            h = rand_element(rng, ctx, fac.m)
+            h = rand_element(rng, fac.ctx, s)
             if not kernel_member(h.inverse() * g * h, spec):
                 normal_bad += 1
         passed = member_bad == 0 and normal_bad == 0
         ok = ok and passed
         _emit(
             {
-                "spec_m": spec.m,
+                "spec_m": s,
                 "gamma": [str(g) for g in spec.gamma],
+                "subgroup": f"slot {s} is additive on N_{s}",
+                "normal": f"[G, N_{s}] <= N_{s + 1}, so conjugation fixes slots 1..{s}",
                 "samples": args.samples,
                 "member_violations": member_bad,
                 "normality_violations": normal_bad,
@@ -323,7 +312,8 @@ def _add_iterate(p: _Parser) -> None:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help=f"recompute by stepping and report agreement (|n| <= {ORACLE_MAX_STEPS})",
+        help=f"recompute by stepping and report agreement (|n| <= {ORACLE_MAX_STEPS}, "
+        f"|n|*m <= {ORACLE_MAX_COORD_STEPS})",
     )
     p.set_defaults(func=_cmd_iterate)
 
@@ -367,7 +357,7 @@ def _add_factor_lab(p: _Parser) -> None:
     d = lab.add_parser("demo", help="witness construction with controls")
     _add_config(d)
     d.set_defaults(func=_cmd_factor_demo)
-    k = lab.add_parser("kernel", help="kernel membership and normality")
+    k = lab.add_parser("kernel", help="kernel normality proof with a conjugation spot-check")
     _add_config(k)
     k.add_argument(
         "--samples", type=_int, default=50,

@@ -73,9 +73,9 @@ class Config:
 # 400 on 2 vCPUs with Python 3.11; README lists the curve.
 MAX_LEVEL = 400
 
-# Largest factor_m.  Factor-lab work grows about as factor_m**3: at level
-# 400 a `factor-lab kernel` sample takes 0.5-0.8 s at 16 (8 times that at
-# 32), and `factor-lab demo` 0.2 s at 16 and 12 s at 256 (2 vCPUs).
+# Largest factor_m.  `factor-lab demo` work grows about as factor_m**3: at
+# level 400 it takes 0.2 s at 16 and 12 s at 256 (2 vCPUs).  `factor-lab
+# kernel` works in dimension 3 at most, whatever factor_m is.
 FACTOR_MAX_M = 16
 
 

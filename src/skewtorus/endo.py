@@ -48,6 +48,7 @@ from .circle import Angle, BasisDecl
 from .errors import ConfigurationError, TruncationError
 
 Row = tuple[int, ...]  # (p mod M, c_1, ..., c_d)
+LEVEL_SEARCH_BOUND = 1_000  # minimal_level's last try; 406 is the level of 1/(7 * 400!)
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,15 @@ class TruncationContext:
         return Angle._make(M // g, row[0] % M // g, cs)
 
 
-def minimal_level(a: Angle) -> int:
-    """Smallest level L >= 2 whose modulus L! is a multiple of a's denominator."""
-    level, fact = 2, 2
-    while fact % a.den:
-        level += 1
-        fact *= level
-    return level
+def minimal_level(a: Angle) -> int | None:
+    """Smallest level L >= 2 whose modulus L! is a multiple of a's denominator,
+    or None past LEVEL_SEARCH_BOUND (a prime factor p would take p steps)."""
+    rest = 1  # L! mod the denominator
+    for level in range(2, LEVEL_SEARCH_BOUND + 1):
+        rest = rest * level % a.den
+        if not rest:
+            return level
+    return None
 
 
 def decompose(a: Angle, ctx: TruncationContext) -> tuple[int, dict[str, int]]:
@@ -108,9 +111,11 @@ def decompose(a: Angle, ctx: TruncationContext) -> tuple[int, dict[str, int]]:
     """
     M = ctx.modulus
     if M % a.den:
+        level = minimal_level(a)
+        past = "" if level else f"; no level up to {LEVEL_SEARCH_BOUND} is sufficient"
         raise TruncationError(
-            f"angle {a} is not representable at level {ctx.level}",
-            minimal_level(a),
+            f"angle {a} is not representable at level {ctx.level}{past}",
+            level,
         )
     scale = M // a.den
     coords: dict[str, int] = {}

@@ -27,11 +27,14 @@ class ParseError(SkewtorusError):
 class TruncationError(SkewtorusError):
     """An angle's denominators do not divide L! at the active level.
 
-    ``required_level`` is the smallest level that would accept the value.
+    ``required_level`` is the smallest level that would accept the value,
+    or None when no level up to ``endo.LEVEL_SEARCH_BOUND`` would.
     """
 
-    def __init__(self, message: str, required_level: int) -> None:
-        super().__init__(f"{message}; smallest sufficient level is {required_level}")
+    def __init__(self, message: str, required_level: int | None) -> None:
+        if required_level is not None:
+            message += f"; smallest sufficient level is {required_level}"
+        super().__init__(message)
         self.required_level = required_level
 
 

@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 import time
-from math import factorial
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,6 @@ from skewtorus.circle import Angle, format_point
 from skewtorus.cli import (
     COMMANDS,
     KERNEL_MAX_SAMPLES,
-    KERNEL_MAX_WORK,
     ORACLE_MAX_COORD_STEPS,
     ORACLE_MAX_STEPS,
     build_parser,
@@ -32,6 +30,7 @@ from skewtorus.cli import (
 from skewtorus.config import FACTOR_MAX_M, MAX_LEVEL, Config
 from skewtorus.dynamics import MAX_SYSTEM_M
 from skewtorus.ellis import HmElement
+from skewtorus.endo import LEVEL_SEARCH_BOUND
 from skewtorus.weyl import MAX_SAMPLES
 
 
@@ -308,6 +307,21 @@ def test_ellis_act_frozen(capsys):
     ]
 
 
+def test_ellis_act_stops_the_level_search_at_its_bound(capsys):
+    # 1000003 is prime, so no L! up to LEVEL_SEARCH_BOUND is a multiple of
+    # it; a search without the bound would run to level 1000003
+    start = time.perf_counter()
+    assert main(["ellis", "act", "--a", tilde_json(1, 1), "--point", "0, 1/1000003"]) == 3
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"no level up to {LEVEL_SEARCH_BOUND} is sufficient" in err
+    element = json.loads(tilde_json(1, 1))
+    element["comps"][1]["images"]["b1"] = "1/1000003*b1"
+    assert main(["ellis", "inv", "--a", json.dumps(element)]) == 3
+    assert f"no level up to {LEVEL_SEARCH_BOUND} is sufficient" in capsys.readouterr().err
+
+
 def test_ellis_element_from_file(tmp_path, capsys):
     path = tmp_path / "elem.json"
     path.write_text(tilde_json(9, 2))
@@ -346,6 +360,11 @@ def test_factor_lab_kernel(capsys):
     assert [r.get("spec_m") for r in rows[:3]] == [1, 2, 3]
     assert all(r["member_violations"] == 0 for r in rows[:3])
     assert all(r["normality_violations"] == 0 for r in rows[:3])
+    assert [(r["subgroup"], r["normal"]) for r in rows[:3]] == [
+        (f"slot {s} is additive on N_{s}",
+         f"[G, N_{s}] <= N_{s + 1}, so conjugation fixes slots 1..{s}")
+        for s in (1, 2, 3)
+    ]
     assert rows[3] == {"summary": True, "pass": True, "seed": 5}
 
 
@@ -378,26 +397,20 @@ def test_factor_lab_kernel_rejects_zero_samples(capsys):
         assert message in err
 
 
-def test_factor_lab_kernel_caps_samples_times_factor_m_cubed(tmp_path, capsys):
-    # the cap is KERNEL_MAX_WORK at level 6 (6! has 10 bits) and shrinks
-    # with the bit length of L!; one sample over it exits 3, one sample runs
-    for level, m in [(6, 6), (16, FACTOR_MAX_M), (400, 3)]:
-        path = tmp_path / f"level{level}.json"
-        path.write_text(json.dumps({"level": level, "factor_m": m}))
-        cap = KERNEL_MAX_WORK * (256 + 10) // (256 + factorial(level).bit_length())
-        assert (cap == KERNEL_MAX_WORK) == (level == 6)
-        samples = cap // m**3 + 1
-        argv = ["factor-lab", "kernel", "--seed", "1", "--samples", str(samples),
-                "--config", str(path)]
-        assert main(argv) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        work = samples * m**3
-        assert (f"--samples * factor_m**3 = {samples} * {m}**3 = {work} "
-                f"exceeds the cap of {cap} at level {level}") in err
-        argv[argv.index("--samples") + 1] = "1"
-        assert main(argv) == 0
-        capsys.readouterr()
+def test_factor_lab_kernel_runs_the_sample_cap_at_level_400(tmp_path, capsys):
+    # each spec is spot-checked in its own dimension (at most 3), so the cap
+    # does not depend on factor_m; README gives about 3 s for this run with
+    # two symbols, and 20 s leaves room for a slow host
+    path = tmp_path / "level400.json"
+    path.write_text(json.dumps({"level": 400, "factor_m": FACTOR_MAX_M}))
+    argv = ["factor-lab", "kernel", "--seed", "1", "--samples", str(KERNEL_MAX_SAMPLES),
+            "--config", str(path)]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 20
+    rows = lines(capsys.readouterr().out)
+    assert [r["spec_m"] for r in rows[:-1]] == [1, 2, 3]
+    assert all(r["samples"] == KERNEL_MAX_SAMPLES and r["pass"] for r in rows[:-1])
 
 
 def test_factor_lab_requires_subcommand(capsys):

@@ -6,11 +6,18 @@ basis generator b/M, extended additively.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from skewtorus.circle import Angle, BasisDecl, ZERO
-from skewtorus.endo import TruncEndo, TruncationContext, decompose, minimal_level
+from skewtorus.endo import (
+    LEVEL_SEARCH_BOUND,
+    TruncEndo,
+    TruncationContext,
+    decompose,
+    minimal_level,
+)
 from skewtorus.errors import ConfigurationError, TruncationError
 
 F = Fraction
@@ -41,6 +48,15 @@ def test_minimal_level_frozen():
     assert minimal_level(Angle(F(1, 6), {"b1": F(1, 4)})) == 4
     assert minimal_level(ZERO) == 2
     assert minimal_level(Angle(F(1, 5040))) == 7
+    # the search stops at LEVEL_SEARCH_BOUND; 997 and 1009 are the primes on
+    # either side of it, and 2**994 divides 1000! but not 999!
+    assert LEVEL_SEARCH_BOUND == 1000
+    assert minimal_level(Angle(F(1, 997))) == 997
+    assert minimal_level(Angle(F(1, 2**994))) == 1000
+    assert minimal_level(Angle(F(1, 2**995))) is None
+    assert minimal_level(Angle(F(1, 7 * factorial(400)))) == 406
+    assert minimal_level(Angle(F(1, 1009))) is None
+    assert minimal_level(Angle(0, {"b1": F(1, 720 * 1009)})) is None
 
 
 def test_decompose_frozen():
@@ -51,6 +67,13 @@ def test_decompose_frozen():
     with pytest.raises(TruncationError) as info:
         decompose(Angle(F(1, 7)), CTX)
     assert info.value.required_level == 7
+
+    with pytest.raises(TruncationError) as info:
+        decompose(Angle(F(1, 1009)), CTX)
+    assert info.value.required_level is None
+    assert str(info.value) == (
+        "angle 1/1009 is not representable at level 6; no level up to 1000 is sufficient"
+    )
 
     with pytest.raises(ConfigurationError):
         decompose(Angle(0, {"zz": 1}), CTX)

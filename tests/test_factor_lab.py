@@ -8,6 +8,7 @@ choices over 6 coordinate pairs gives 114 vectors, of which 60 are
 constant on cosets.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from skewtorus.factor_lab import (
     qef_coset_constant,
     qef_index_family,
 )
+from skewtorus.samplers import rand_element
 
 F = Fraction
 
@@ -267,3 +269,25 @@ def test_kernel_conjugation_spot_checks():
 
     outsider = elem(phi2=TruncEndo.make(CTX, 0, {"b1": HALF}))
     assert not kernel_member(h.inverse() * outsider * h, specs[1])
+
+
+@pytest.mark.parametrize("level, m", [(6, 5), (8, 4), (12, 6)])
+def test_conjugation_fixes_the_slots_a_kernel_reads(level, m):
+    # N_s, the elements trivial in slots 1..s-1, has [G, N_s] in N_{s+1}, so
+    # both conjugates of k in N_s keep slots 1..s of k: every KernelSpec of
+    # dimension s is normal.  Truncation to s is a homomorphism, so the
+    # conjugate can be taken in dimension s alone.
+    ctx = TruncationContext(level, BASIS)
+    rng = random.Random(f"conjugation:{level}:{m}")
+    for s in range(1, m + 1):
+        for _ in range(40):
+            k = rand_element(rng, ctx, m, trivial_prefix=s - 1)
+            h = rand_element(rng, ctx, m)
+            hs, ks = h.truncate(s), k.truncate(s)
+            pairs = [
+                (h.inverse() * k * h, hs.inverse() * ks * hs),
+                (h * k * h.inverse(), hs * ks * hs.inverse()),
+            ]
+            for conj, small in pairs:
+                assert conj.comps[: s + 1] == k.comps[: s + 1], (level, m, s)
+                assert conj.truncate(s) == small, (level, m, s)
