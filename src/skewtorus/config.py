@@ -1,9 +1,9 @@
 """Run configuration: truncation level, basis literals, defaults for checks.
 
 Configuration is a single JSON object, read from --config or the
-SKEWTORUS_CONFIG environment variable.  Basis values must be ASCII
-decimals ``[0-9]*.[0-9]+`` in (0, 1) with at least 30 fractional digits;
-they are kept exact and only rounded inside the unit-circle projection.  The
+SKEWTORUS_CONFIG environment variable.  A basis has at most MAX_SYMBOLS
+symbols, and its values must be ASCII decimals ``[0-9]*.[0-9]+`` in (0, 1)
+with 30 to MAX_PLACES fractional digits; they are kept exact and only rounded inside the unit-circle projection.  The
 default basis uses sqrt(2)-1 and sqrt(3)-1 to 40 places.
 """
 
@@ -44,13 +44,18 @@ class Config:
     factor_m: int = 3
 
     def basis(self) -> BasisDecl:
+        if len(self.basis_decimals) > MAX_SYMBOLS:
+            raise ConfigurationError(
+                f"basis must have at most MAX_SYMBOLS = {MAX_SYMBOLS} symbols, "
+                f"got {len(self.basis_decimals)}"
+            )
         decl = BasisDecl.from_decimals(dict(self.basis_decimals))
         for name, text in self.basis_decimals:
             digits = len(text.partition(".")[2])  # text matched [0-9]*.[0-9]+
-            if digits < _MIN_FRACTIONAL_DIGITS:
+            if not _MIN_FRACTIONAL_DIGITS <= digits <= MAX_PLACES:
                 raise ConfigurationError(
                     f"basis value for {name} has {digits} fractional digits, "
-                    f"need at least {_MIN_FRACTIONAL_DIGITS}"
+                    f"need {_MIN_FRACTIONAL_DIGITS} to MAX_PLACES = {MAX_PLACES}"
                 )
         return decl
 
@@ -77,6 +82,19 @@ MAX_LEVEL = 400
 # level 400 it takes 0.2 s at 16 and 12 s at 256 (2 vCPUs).  `factor-lab
 # kernel` works in dimension 3 at most, whatever factor_m is.
 FACTOR_MAX_M = 16
+
+# Most basis symbols.  Group algebra carries one row entry per symbol:
+# `factor-lab kernel --samples 1000` at level 400 and factor_m 16 took
+# 4.2 s with 2 symbols, 8.1 s with 3, 12 s with 4 and 29 s with 6
+# (2 vCPUs).
+MAX_SYMBOLS = 4
+
+# Most fractional digits of a basis value.  The common denominator D of
+# the phases grows with them, and a Weyl sample costs one % D and one
+# division by D: at degree 2 a sample took 0.88 us at 40 places, 1.0 at
+# 100, 1.8 at 400 and 10 at 4000 (2 vCPUs), so a report at
+# weyl.MAX_SAMPLES stays near its 40-place time.
+MAX_PLACES = 100
 
 
 def _int_from(lo: float) -> Callable[[Any, Config], bool]:
@@ -106,9 +124,9 @@ _SCHEMA: dict[str, tuple[str, Callable[[Any, Config], bool], str, Callable | Non
               lambda v: tuple(v.items())),
     "seed": ("seed", lambda v, c: v is None or _int_from(-math.inf)(v, c),
              "an integer or null", None),
-    "shifts": ("shifts", lambda v, c: isinstance(v, list)
+    "shifts": ("shifts", lambda v, c: isinstance(v, list) and bool(v)
                and all(_int_from(0)(x, c) for x in v),
-               "a list of nonnegative integers", tuple),
+               "a nonempty list of nonnegative integers", tuple),
     "tol": ("tol", _is_tol, "a positive finite number", float),
     "N": ("N", _int_from(1), "a positive integer", None),
     "system.m": ("system_m", _int_from(1), "a positive integer", None),

@@ -8,7 +8,8 @@ Exact phases.  Substituting the declared basis values turns each
 coefficient into an exact rational over a common denominator D.  An
 integer difference table, built once at the start shift, runs as a
 chain of itertools.accumulate calls, so no Python code runs per sample:
-each is one % D, one correctly rounded division and one cmath.exp.
+each is one % D, one correctly rounded division, one float multiply by
+2 pi and one cmath.rect.
 Huge shifts cost one exact binomial shift up front and no precision.
 The rows are not reduced inside the chain, so at high degree they grow
 with the sample count (see MAX_SAMPLES).
@@ -17,7 +18,8 @@ Deterministic reduction.  Samples are accumulated in fixed chunks of
 4096 with pairwise (tree) summation inside each chunk and across chunk
 sums.  The tree shape depends only on N, never on scheduling, so
 results are bit-identical run to run; a shifted start changes phases,
-not the tree.
+not the tree.  A plan cached per length lays the tree out as columns
+and levels, which map(add, ...) sums without a Python loop per value.
 
 The limit predicted for N -> infinity: 0 whenever some nonconstant
 coefficient has an irrational part, and likewise for degree-1 rational
@@ -35,11 +37,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, islice, repeat
 from math import factorial, gcd, lcm
-from operator import add, mod, truediv
-from typing import Iterator, Sequence
+from operator import add, itemgetter, mod, mul, truediv
+from typing import Iterable, Iterator, Sequence
 
 from .circle import Angle, BasisDecl, angle_to_unit
 from .combinatorics import binomial_shift
@@ -47,17 +49,17 @@ from .dynamics import BasicSystem, CharacterIndex, PolyAngle, orbit_polynomial
 from .errors import ConfigurationError
 
 _CHUNK = 4096
-_TWO_PI_J = complex(0.0, 2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
 
 # Longest minimal period that equidistribution_target sums term by term.
-# A term costs about 0.5 us at degree 2 and 5 us at degree 64 (the parse
-# cap on k), so the exact period mean stays within seconds.
+# A term costs about 0.3-0.4 us at degree 2 and 3.4 us at degree 64 (the
+# parse cap on k), so the exact period mean stays within seconds.
 MAX_PERIOD = 1_000_000
 
 # Most samples that one weyl_average, or one report over all its shifts,
-# takes.  A sample costs about 0.7 us at degree 2 and 6 us at degree 64
-# over 3 * 10^5 samples, where the unreduced rows have grown; the default
-# config asks for 200,000 at 4 shifts.
+# takes.  A sample costs about 0.6-0.9 us at degrees 2 and 3 and 5-7 us at
+# degree 64 over 3 * 10^5 samples, where the unreduced rows have grown;
+# the default config asks for 200,000 at 4 shifts.
 MAX_SAMPLES = 10_000_000
 
 
@@ -90,19 +92,63 @@ def _phases(poly: PolyAngle, basis: BasisDecl, start: int) -> Iterator[float]:
 
 
 def _units(poly: PolyAngle, basis: BasisDecl, start: int) -> Iterator[complex]:
-    # exp(0 + 2 pi theta j) is complex(cos(2 pi theta), sin(2 pi theta)) bit for bit
-    return map(cmath.exp, map(_TWO_PI_J.__mul__, _phases(poly, basis, start)))
+    # rect(1.0, y) is (1.0 * cos y, 1.0 * sin y), or (1.0, 0.0) at y = 0: bit for
+    # bit the complex(cos y, sin y) that angle_to_unit builds from y = 2 pi theta
+    return map(cmath.rect, repeat(1.0), map(mul, repeat(_TWO_PI), _phases(poly, basis, start)))
 
 
-def _pairwise(vals: Sequence[complex], lo: int, hi: int) -> complex:
-    n = hi - lo
-    if n <= 8:
-        s = 0j
-        for i in range(lo, hi):
-            s += vals[i]
-        return s
-    mid = lo + n // 2
-    return _pairwise(vals, lo, mid) + _pairwise(vals, mid, hi)
+def _leaves(lo: int, size: int, depth: int) -> Iterator[tuple[int, int, int]]:
+    """(start, size, depth) of each leaf under a node of the tree, in order."""
+    if size <= 8:
+        yield lo, size, depth
+    else:
+        half = size // 2
+        yield from _leaves(lo, half, depth + 1)
+        yield from _leaves(lo + half, size - half, depth + 1)
+
+
+# A plan holds at most about 150 KB (n = 4095); 32 of them cover the
+# lengths that a report or a check suite cycles through.
+@lru_cache(maxsize=32)
+def _tree_plan(n: int) -> tuple[tuple[itemgetter, ...], int]:
+    """Columns and depth of the summation tree over n >= 1 values.
+
+    The tree (_leaves): a node of at most 8 values is summed in order from
+    0j, a larger one splits at n // 2.  Its leaves lie at two depths at most.
+    Each leaf shallower than the deepest (and the single leaf of n <= 8)
+    gets empty right siblings down to a common depth of at least 1, and
+    every leaf is padded to the largest leaf size with the 0j at index n.
+    A sum that starts from 0j has no -0.0 part, so adding 0j leaves it
+    unchanged bit for bit and the padded perfect tree sums exactly as the
+    original.  Column j takes value j of every leaf.
+    """
+    leaves = list(_leaves(0, n, 0))
+    depth = max(1, max(d for _, _, d in leaves))
+    slots: list[tuple[int, int]] = []
+    for lo, size, d in leaves:
+        slots += [(lo, size)] + [(n, 0)] * ((1 << (depth - d)) - 1)
+    if n == 8 * len(slots):  # every leaf is full and none was padded
+        return tuple(itemgetter(slice(j, n, 8)) for j in range(8)), depth
+    index = list(range(n + 1))  # one int object per position, shared by the columns
+    columns = tuple(
+        itemgetter(*[index[lo + j] if j < size else index[n] for lo, size in slots])
+        for j in range(max(size for _, size in slots))
+    )
+    return columns, depth
+
+
+def _tree_sum(vals: list[complex]) -> complex:
+    """Pairwise sum of a nonempty list on the tree of _tree_plan, using
+    map over whole columns and levels; appends the 0j pad to vals."""
+    columns, depth = _tree_plan(len(vals))
+    vals.append(0j)
+    acc: Iterable[complex] = repeat(0j)
+    for take in columns:
+        acc = map(add, acc, take(vals))
+    level = list(acc)
+    for _ in range(depth):
+        level = list(map(add, level[0::2], level[1::2]))
+    return level[0]
 
 
 def weyl_average(
@@ -116,8 +162,8 @@ def weyl_average(
     units = islice(_units(poly, basis, shift + 1), N)
     sums: list[complex] = []
     while chunk := list(islice(units, _CHUNK)):
-        sums.append(_pairwise(chunk, 0, len(chunk)))
-    return _pairwise(sums, 0, len(sums)) / N
+        sums.append(_tree_sum(chunk))
+    return _tree_sum(sums) / N
 
 
 def minimal_period(poly: PolyAngle) -> int | None:
@@ -194,9 +240,7 @@ class WeylReport:
 
     @property
     def max_abs(self) -> float:
-        return max(
-            (abs(a - self.target) for a in self.averages), default=0.0
-        )
+        return max(abs(a - self.target) for a in self.averages)
 
     @property
     def passed(self) -> bool:
@@ -246,6 +290,8 @@ def equidistribution_report(
         raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
     if N < 1:
         raise ValueError(f"sample count must be >= 1, got {N}")
+    if not shifts:
+        raise ConfigurationError("at least one shift is required")
     if N * len(shifts) > MAX_SAMPLES:
         raise ConfigurationError(
             f"N = {N} at {len(shifts)} shift(s) is {N * len(shifts)} samples, "

@@ -27,7 +27,7 @@ from skewtorus.cli import (
     build_parser,
     main,
 )
-from skewtorus.config import FACTOR_MAX_M, MAX_LEVEL, Config
+from skewtorus.config import FACTOR_MAX_M, MAX_LEVEL, MAX_PLACES, MAX_SYMBOLS, Config
 from skewtorus.dynamics import MAX_SYSTEM_M
 from skewtorus.ellis import HmElement
 from skewtorus.endo import LEVEL_SEARCH_BOUND
@@ -563,6 +563,9 @@ def test_config_rejections(tmp_path, capsys):
         {"basis": {"b1": "0.4142135623730950488016887242096980785697\n"}},
         {"mystery": True},
         {"shifts": [-1]},
+        {"shifts": []},  # a report over zero samples
+        {"basis": {f"b{i}": "0." + "4" * 40 for i in range(1, MAX_SYMBOLS + 2)}},
+        {"basis": {"b1": "0." + "4" * (MAX_PLACES + 1)}},
         {"system": {"x0": "??"}},
         {"system": {"m": 2, "mystery": 1}},
         {"system": {"m": MAX_SYSTEM_M + 1}},
@@ -582,6 +585,10 @@ def test_config_rejections(tmp_path, capsys):
     # one message format: <key> must be <what>, got <value>
     err = capsys.readouterr().err
     assert "level must be an integer >= 2, got 1" in err
+    assert "shifts must be a nonempty list of nonnegative integers, got []" in err
+    assert f"basis must have at most MAX_SYMBOLS = {MAX_SYMBOLS} symbols, got {MAX_SYMBOLS + 1}" in err
+    assert (f"basis value for b1 has {MAX_PLACES + 1} fractional digits, "
+            f"need 30 to MAX_PLACES = {MAX_PLACES}") in err
     assert "unknown config keys: ['system.mystery']" in err
     assert f"at most MAX_SYSTEM_M = {MAX_SYSTEM_M}, got {MAX_SYSTEM_M + 1}" in err
     assert "tol must be a positive finite number, got -0.5" in err

@@ -5,11 +5,15 @@ over one period with cmath; the oracle for phase exactness evaluates the
 polynomial symbolically and projects each value separately.  The
 differential test holds the integer-residue period and target against
 Angle arithmetic: PolyAngle.shift for periods, and the sequential sum of
-angle_to_unit(p.evaluate(n)) for targets.
+angle_to_unit(p.evaluate(n)) for targets.  The oracle for the reduction
+is the recursive tree _oracle_tree, compared bit for bit with the
+column-and-level reducer on synthetic values.
 """
 
 import cmath
+import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -21,6 +25,9 @@ from skewtorus.weyl import (
     MAX_PERIOD,
     MAX_SAMPLES,
     WeylReport,
+    _phases,
+    _tree_sum,
+    _units,
     equidistribution_report,
     equidistribution_target,
     minimal_period,
@@ -184,6 +191,40 @@ def _oracle_tree(vals: list[complex]) -> complex:
     return _oracle_tree(vals[:mid]) + _oracle_tree(vals[mid:])
 
 
+def _bits(z: complex) -> bytes:
+    return struct.pack("dd", z.real, z.imag)
+
+
+def test_tree_sum_builds_the_oracle_tree_bitwise():
+    # every length up to 1100 (all leaf layouts of a partial chunk), the
+    # chunk lengths around 4096 and 8192, and the longest chunk-sum list
+    rng = random.Random("weyl-tree")
+    longest_sums = -(-MAX_SAMPLES // 4096)
+
+    def part() -> float:
+        r = rng.random()
+        if r < 0.2:
+            return 0.0 if r < 0.1 else -0.0
+        return rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-60, 60)
+
+    for n in [*range(1, 1101), 4095, 4096, 4097, 8192, 8193, longest_sums - 1, longest_sums]:
+        vals = [complex(part(), part()) for _ in range(n)]
+        assert _bits(_tree_sum(list(vals))) == _bits(_oracle_tree(vals)), n
+
+
+def test_projection_matches_both_forms_bitwise():
+    # n = 1 puts the constant term first: phases 0, 1/2, 1/4, 2^-1074 and
+    # 1 - 2^-53, where rect(1, 2 pi theta) must still equal the pointwise
+    # complex(cos, sin) and the exp(2 pi i theta) it replaced
+    two_pi_j = complex(0.0, 2.0 * math.pi)
+    for c in [F(0), F(1, 2), F(1, 4), F(1, 2**1074), 1 - F(1, 2**53)]:
+        p = PolyAngle([Angle(c), ZERO, Angle(F(1, 3))])
+        pairs = zip(_phases(p, BASIS, 1), _units(p, BASIS, 1))
+        for n, (theta, got) in zip(range(1, 7), pairs):
+            assert _bits(got) == _bits(angle_to_unit(p.evaluate(n), BASIS)), (c, n)
+            assert _bits(got) == _bits(cmath.exp(two_pi_j * theta)), (c, n)
+
+
 def _oracle_average(units: list[complex], N: int) -> complex:
     """The documented reduction: pairwise trees over chunks of 4096,
     then a pairwise tree over the chunk sums."""
@@ -270,6 +311,8 @@ def test_report_round_trip_and_csv():
         equidistribution_report(p, 10, [0], 0.0, BASIS)
     with pytest.raises(ValueError):
         weyl_average(p, 0, 0, BASIS)
+    with pytest.raises(ConfigurationError, match="at least one shift is required"):
+        equidistribution_report(p, 10, [], 0.1, BASIS)
 
 
 def test_sample_count_is_capped():
