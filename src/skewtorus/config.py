@@ -3,8 +3,9 @@
 Configuration is a single JSON object, read from --config or the
 SKEWTORUS_CONFIG environment variable.  A basis has at most MAX_SYMBOLS
 symbols, and its values must be ASCII decimals ``[0-9]*.[0-9]+`` in (0, 1)
-with 30 to MAX_PLACES fractional digits; they are kept exact and only rounded inside the unit-circle projection.  The
-default basis uses sqrt(2)-1 and sqrt(3)-1 to 40 places.
+with 30 to MAX_PLACES fractional digits; they are kept exact and only
+rounded inside the unit-circle projection.  The default basis uses
+sqrt(2)-1 and sqrt(3)-1 to 40 places.
 """
 
 from __future__ import annotations
@@ -83,17 +84,17 @@ MAX_LEVEL = 400
 # kernel` works in dimension 3 at most, whatever factor_m is.
 FACTOR_MAX_M = 16
 
-# Most basis symbols.  Group algebra carries one row entry per symbol:
-# `factor-lab kernel --samples 1000` at level 400 and factor_m 16 took
-# 4.2 s with 2 symbols, 8.1 s with 3, 12 s with 4 and 29 s with 6
-# (2 vCPUs).
+# Most basis symbols.  A map has a row and a column per symbol, so group
+# work grows about as the square of the count: `factor-lab kernel --samples
+# 1000` at level 400 and factor_m 16 took 2.7-3.0 s with 2 symbols, 4.5-5.0 s
+# with 3, 7.8-9.7 s with 4, 14 s with 5 and 22 s with 6 (2 vCPUs).
 MAX_SYMBOLS = 4
 
 # Most fractional digits of a basis value.  The common denominator D of
 # the phases grows with them, and a Weyl sample costs one % D and one
-# division by D: at degree 2 a sample took 0.88 us at 40 places, 1.0 at
-# 100, 1.8 at 400 and 10 at 4000 (2 vCPUs), so a report at
-# weyl.MAX_SAMPLES stays near its 40-place time.
+# division by D: at degree 2 a sample took 0.49 us at 40 places, 0.50-0.54
+# at 100, 0.61-0.64 at 200, 0.91-0.96 at 400 and 6.4-6.5 at 4000 (2 vCPUs),
+# so a report at weyl.MAX_SAMPLES stays near its 40-place time.
 MAX_PLACES = 100
 
 

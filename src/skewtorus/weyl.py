@@ -52,14 +52,15 @@ _CHUNK = 4096
 _TWO_PI = 2.0 * math.pi
 
 # Longest minimal period that equidistribution_target sums term by term.
-# A term costs about 0.3-0.4 us at degree 2 and 3.4 us at degree 64 (the
-# parse cap on k), so the exact period mean stays within seconds.
+# A term costs about 0.24-0.41 us at degree 2 and 3.2-3.4 us at degree 64
+# (the parse cap on k), so the exact period mean stays within seconds.
 MAX_PERIOD = 1_000_000
 
 # Most samples that one weyl_average, or one report over all its shifts,
-# takes.  A sample costs about 0.6-0.9 us at degrees 2 and 3 and 5-7 us at
-# degree 64 over 3 * 10^5 samples, where the unreduced rows have grown;
-# the default config asks for 200,000 at 4 shifts.
+# takes.  A sample costs about 0.5 us at degrees 2 and 3 and 4 us at
+# degree 64 over 3 * 10^5 samples, where the unreduced rows have grown (up
+# to 0.9 and 7 us on a loaded host); the default config asks for 200,000
+# at 4 shifts.
 MAX_SAMPLES = 10_000_000
 
 

@@ -586,7 +586,8 @@ def test_config_rejections(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "level must be an integer >= 2, got 1" in err
     assert "shifts must be a nonempty list of nonnegative integers, got []" in err
-    assert f"basis must have at most MAX_SYMBOLS = {MAX_SYMBOLS} symbols, got {MAX_SYMBOLS + 1}" in err
+    assert (f"basis must have at most MAX_SYMBOLS = {MAX_SYMBOLS} symbols, "
+            f"got {MAX_SYMBOLS + 1}") in err
     assert (f"basis value for b1 has {MAX_PLACES + 1} fractional digits, "
             f"need 30 to MAX_PLACES = {MAX_PLACES}") in err
     assert "unknown config keys: ['system.mystery']" in err
