@@ -488,7 +488,7 @@ def _ellis_commutator(env: CheckEnv, rec: SuiteResult) -> None:
                 com.central_level() >= min(m, n + 1),
                 f"escalation fails at prefix {k}",
             )
-            pred = predicted_commutator(a, b, k)
+            pred = predicted_commutator(a, b)
             rec.check(
                 com.truncate(pred.m) == pred,
                 f"predicted form disagrees at prefix {k}",

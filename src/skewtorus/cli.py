@@ -96,8 +96,6 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
         if k < 0:
             raise ConfigurationError(f"shifts must be nonnegative, got {k}")
         out.append(k)
-    if not out:
-        raise ConfigurationError("at least one shift is required")
     return tuple(out)
 
 
@@ -193,7 +191,7 @@ def _cmd_ellis(args: argparse.Namespace) -> int:
         b = _element(args.b, ctx)
         com = commutator(a, b)
         prefix = a.central_level()
-        predicted = predicted_commutator(a, b, prefix)
+        predicted = predicted_commutator(a, b)
         agrees = com.truncate(predicted.m) == predicted
         _emit(
             {

@@ -17,9 +17,11 @@ composition.  The integer points tilde(n) have binom(n, k) in slot k
 and embed (Z, +); elements act on (m+1)-tuples of angles by the same
 triangular convolution, and the tower's extension law ast_mul glues an
 element to a circle coordinate via a correction cocycle, slot m of the
-group law one dimension up at the tower's base point.  Products, solves of
-phi * z = psi and the cocycle run :func:`skewtorus.endo.kernel` once per
-output row.
+group law one dimension up at the tower's base point.  The members trivial
+in slots 1..s-1 form N_s, and [N_i, N_j] lies in N_{i+j} with slot i+j the
+bracket phi_i o psi_j - psi_j o phi_i: :func:`predicted_commutator` reads
+it off both operands' depths.  Products, solves of phi * z = psi and the
+cocycle run :func:`skewtorus.endo.kernel` once per output row.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ class HmElement:
         return HmElement(self.ctx, self.comps[: new_m + 1])
 
     def central_level(self) -> int:
-        """Depth of the trivial prefix: largest d with phi_1..phi_d all zero."""
+        """Depth of the trivial prefix: largest d with phi_1..phi_d all zero,
+        so that self lies in N_{d+1}."""
         d = 0
         for k in range(1, self.m + 1):
             if not self.comps[k].is_zero_map():
@@ -230,28 +233,21 @@ def commutator(a: HmElement, b: HmElement) -> HmElement:
     return HmElement(a.ctx, _convolve(ba.comps, (a * b).comps, True))
 
 
-def predicted_commutator(a: HmElement, b: HmElement, k: int) -> HmElement:
-    """Closed form of commutator(a, b) when a is trivial through index k.
+def predicted_commutator(a: HmElement, b: HmElement) -> HmElement:
+    """Closed form of commutator(a, b) from the depths of both operands.
 
-    Valid coordinates stop at k+2, so the result lives in dimension
-    min(m, k+2): trivial through index k+1, and slot k+2 (when present)
-    equals -(psi_1 o phi_{k+1}) + (phi_{k+1} o psi_1).
+    With i = a.central_level() + 1 and j = b.central_level() + 1, a lies in
+    N_i and b in N_j, and [N_i, N_j] lies in N_{i+j}.  So the result lives
+    in dimension min(m, i+j): trivial through index i+j-1, and slot i+j
+    (when present) holds the bracket phi_i o psi_j - psi_j o phi_i.
     """
     a._require_compatible(b)
-    if k < 0:
-        raise ValueError(f"prefix length must be >= 0, got {k}")
-    for j in range(1, min(k, a.m) + 1):
-        if not a.comps[j].is_zero_map():
-            raise ValueError(
-                f"left element is not trivial at index {j} <= {k}"
-            )
-    new_m = min(a.m, k + 2)
+    i, j = a.central_level() + 1, b.central_level() + 1
     zero = TruncEndo.power(a.ctx, 0)
-    comps = [a.comps[0]] + [zero] * new_m
-    if k + 2 <= a.m:
-        phi_next = a.comps[k + 1]
-        psi1 = b.comps[1]
-        comps[k + 2] = psi1.compose(phi_next).conj() * phi_next.compose(psi1)
+    comps = [a.comps[0]] + [zero] * min(a.m, i + j)
+    if i + j <= a.m:
+        phi, psi = a.comps[i], b.comps[j]
+        comps[i + j] = psi.compose(phi).conj() * phi.compose(psi)
     return HmElement(a.ctx, tuple(comps))
 
 

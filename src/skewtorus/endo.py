@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from math import factorial, gcd
 from itertools import repeat
 from operator import add, itemgetter, mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .circle import Angle, BasisDecl
 from .errors import ConfigurationError, TruncationError
@@ -170,13 +170,14 @@ class TruncEndo:
         cls,
         ctx: TruncationContext,
         residue: int,
-        images: Union[Mapping[str, Angle], Sequence[Angle]],
+        images: Mapping[str, Angle],
     ) -> "TruncEndo":
-        if isinstance(images, Mapping):
-            for sym in images:
-                ctx.basis.index_of(sym)
-            images = [images.get(s, Angle()) for s in ctx.basis.symbols]
-        return cls(ctx, residue, tuple(images))
+        """The map with this residue and these generator images, by symbol;
+        a symbol left out maps to zero."""
+        for sym in images:
+            ctx.basis.index_of(sym)
+        imgs = [images.get(s, Angle()) for s in ctx.basis.symbols]
+        return cls(ctx, residue, tuple(imgs))
 
     def validate(self) -> "TruncEndo":
         """Return self; kept for API compatibility and checks nothing.

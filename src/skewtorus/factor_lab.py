@@ -298,9 +298,8 @@ def kernel_member(phi: HmElement, spec: KernelSpec) -> bool:
         raise ConfigurationError(
             f"kernel spec reads component {spec.m}, element has m={phi.m}"
         )
-    for k in range(1, spec.m):
-        if not phi.comps[k].is_zero_map():
-            return False
+    if phi.central_level() < spec.m - 1:
+        return False
     top = phi.comps[spec.m]
     return all(not top(g) for g in spec.gamma)
 

@@ -127,20 +127,18 @@ def test_commutator_frozen_value():
     assert c.central_level() == 2
 
     # closed form agrees with the computed commutator
-    assert predicted_commutator(a, b, 1) == c
-    # shorter guaranteed prefix: prediction only reaches dimension 2
-    assert predicted_commutator(a, b, 0) == HmElement.identity(CTX, 2)
+    assert predicted_commutator(a, b) == c
     assert c.truncate(2) == HmElement.identity(CTX, 2)
 
 
-def test_commutator_prefix_precondition():
+def test_commutator_prediction_reads_both_depths():
+    # b lies in N_1 and a in N_2, so [b, a] lies in N_3 with slot 3 the
+    # bracket p o E - E o p, whichever operand is the deeper one
     a, b = witness_pair()
-    with pytest.raises(ValueError):
-        predicted_commutator(b, a, 1)  # slot 1 of b is not trivial
-    with pytest.raises(ValueError):
-        predicted_commutator(a, b, 2)  # slot 2 of a is not trivial
-    with pytest.raises(ValueError):
-        predicted_commutator(a, b, -1)
+    p = predicted_commutator(b, a)
+    assert p.m == min(a.m, 3)
+    assert p == commutator(b, a)
+    assert p.comps[3](GX) == HALF
 
 
 def test_iterate_detection():
@@ -292,3 +290,21 @@ def test_commutator_is_the_four_factor_product():
     for case, (a, b) in enumerate(seeded_pairs()):
         assert commutator(a, b) == a.inverse() * b.inverse() * a * b, case
         assert commutator(b, a) == b.inverse() * a.inverse() * b * a, case
+
+
+@pytest.mark.parametrize("level", [*range(6, 13), 400])
+def test_prediction_matches_the_commutator_at_every_pair_of_depths(level):
+    """[N_i, N_j] lies in N_{i+j} with slot i+j the bracket, for every
+    1 <= i, j <= m + 1 (N_{m+1} holds only the identity) and 2 <= m <= 8."""
+    rng = random.Random(level)
+    ctx = TruncationContext(level, BASIS)
+    for m in range(2, min(level, 8) + 1):
+        for i0 in range(1, m + 2):
+            for j0 in range(1, m + 2):
+                a = rand_element(rng, ctx, m, trivial_prefix=i0 - 1)
+                b = rand_element(rng, ctx, m, trivial_prefix=j0 - 1)
+                i, j = a.central_level() + 1, b.central_level() + 1
+                p = predicted_commutator(a, b)
+                case = (m, i0, j0)
+                assert p.m == min(m, i + j), case
+                assert commutator(a, b).truncate(p.m) == p, case
