@@ -181,13 +181,15 @@ def _swap(
     el: HmElement, k: int, residue: int | None = None,
     images: dict[int, Angle] | None = None,
 ) -> HmElement:
-    """el with component k rebuilt: a new residue, images replaced by index."""
-    comp = el.comps[k]
-    imgs = [(images or {}).get(i, img) for i, img in enumerate(comp.images)]
+    """el with component k rebuilt: a new residue mod M, images replaced by index."""
+    ctx, comp = el.ctx, el.comps[k]
+    rows = list(comp.rows)
+    for i, img in (images or {}).items():
+        rows[i] = ctx.row(img)
+    residue = comp.residue if residue is None else residue % ctx.modulus
     comps = list(el.comps)
-    residue = comp.residue if residue is None else residue
-    comps[k] = TruncEndo(el.ctx, residue, tuple(imgs))
-    return HmElement(el.ctx, tuple(comps))
+    comps[k] = TruncEndo._from_rows(ctx, residue, tuple(rows))
+    return HmElement(ctx, tuple(comps))
 
 
 # ------------------------------------------------------------ combinatorics

@@ -240,8 +240,8 @@ class Angle:
         return f"Angle({str(self)!r})"
 
     @classmethod
-    def parse(cls, text: str, base_offset: int = 0) -> "Angle":
-        sums, _ = _read_sum(text, 0, base_offset, None, False)
+    def parse(cls, text: str) -> "Angle":
+        sums, _ = _read_sum(text, 0, None, False)
         return _from_terms(sums[0])
 
 
@@ -265,40 +265,37 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _expect(text: str, pos: int, base: int, token: str, message: str) -> int:
+def _expect(text: str, pos: int, token: str, message: str) -> int:
     pos = _skip_ws(text, pos)
     if not text.startswith(token, pos):
-        raise ParseError(message, base + pos)
+        raise ParseError(message, pos)
     return pos + len(token)
 
 
-def _literal(m: re.Match, group: int, base: int) -> int:
+def _literal(m: re.Match, group: int) -> int:
     try:
         return int(m.group(group))
     except ValueError:  # longer than int()'s digit limit
         raise ParseError(
-            f"integer literal of {len(m.group(group))} digits is too long",
-            base + m.start(group),
+            f"integer literal of {len(m.group(group))} digits is too long", m.start(group)
         ) from None
 
 
-def _read_binom(text: str, pos: int, base: int) -> tuple[int, int]:
+def _read_binom(text: str, pos: int) -> tuple[int, int]:
     """`C(n,k)` at pos, blanks allowed inside; returns (k, end)."""
-    pos = _expect(text, pos, base, "C(", "expected C(n,k)")
-    pos = _expect(text, pos, base, "n", "expected literal 'n' in C(n,k)")
-    pos = _skip_ws(text, _expect(text, pos, base, ",", "expected ',' in C(n,k)"))
+    pos = _expect(text, pos, "C(", "expected C(n,k)")
+    pos = _expect(text, pos, "n", "expected literal 'n' in C(n,k)")
+    pos = _skip_ws(text, _expect(text, pos, ",", "expected ',' in C(n,k)"))
     m = _NUMBER_RE.match(text, pos)
     if not m or m.group(2) is not None:
-        raise ParseError("expected integer k in C(n,k)", base + pos)
-    k = _literal(m, 1, base)
+        raise ParseError("expected integer k in C(n,k)", pos)
+    k = _literal(m, 1)
     if k > MAX_BINOM_K:
-        raise ParseError(f"k = {k} exceeds the cap {MAX_BINOM_K} in C(n,k)", base + pos)
-    return k, _expect(text, m.end(), base, ")", "expected ')' closing C(n,k)")
+        raise ParseError(f"k = {k} exceeds the cap {MAX_BINOM_K} in C(n,k)", pos)
+    return k, _expect(text, m.end(), ")", "expected ')' closing C(n,k)")
 
 
-def _read_term(
-    text: str, pos: int, base: int, binom: bool
-) -> tuple[int, list[Term], int]:
+def _read_term(text: str, pos: int, binom: bool) -> tuple[int, list[Term], int]:
     """One term as (k, [(symbol or None, numerator, denominator)], end).
 
     Angle terms are `p`, `p/q`, `p/q*sym` and `sym`.  With ``binom`` a
@@ -307,17 +304,17 @@ def _read_term(
     the circle, so it most likely means something else.
     """
     if binom and text[pos] == "(":
-        inner, end = _read_sum(text, pos + 1, base, ")", False)
-        end = _expect(text, end, base, ")", "expected ')' closing '('")
-        k, end = _read_times_binom(text, end, base)
+        inner, end = _read_sum(text, pos + 1, ")", False)
+        end = _expect(text, end, ")", "expected ')' closing '('")
+        k, end = _read_times_binom(text, end)
         return k, inner[0], end
     num, den = 1, 1
     m = _NUMBER_RE.match(text, pos)
     if m:
-        num = _literal(m, 1, base)
-        den = 1 if m.group(2) is None else _literal(m, 2, base)
+        num = _literal(m, 1)
+        den = 1 if m.group(2) is None else _literal(m, 2)
         if den == 0:
-            raise ParseError("zero denominator", base + m.start(2))
+            raise ParseError("zero denominator", m.start(2))
         star = _STAR_RE.match(text, m.end())
         if star is None:
             return 0, [(None, num, den)], m.end()
@@ -325,65 +322,64 @@ def _read_term(
     if binom and text.startswith("C(", pos):
         if not m:
             raise ParseError(
-                "C(n,k) needs a coefficient: a bare C(n,k) is 1*C(n,k) = 0",
-                base + pos,
+                "C(n,k) needs a coefficient: a bare C(n,k) is 1*C(n,k) = 0", pos
             )
-        k, end = _read_binom(text, pos, base)
+        k, end = _read_binom(text, pos)
         return k, [(None, num, den)], end
     sm = _SYMBOL_RE.match(text, pos)
     if not sm:
         if m:
-            raise ParseError("expected basis symbol after '*'", base + pos)
-        raise ParseError(f"expected rational or symbol, found {text[pos]!r}", base + pos)
-    k, end = _read_times_binom(text, sm.end(), base) if binom else (0, sm.end())
+            raise ParseError("expected basis symbol after '*'", pos)
+        raise ParseError(f"expected rational or symbol, found {text[pos]!r}", pos)
+    k, end = _read_times_binom(text, sm.end()) if binom else (0, sm.end())
     return k, [(sm.group(), num, den)], end
 
 
-def _read_times_binom(text: str, pos: int, base: int) -> tuple[int, int]:
+def _read_times_binom(text: str, pos: int) -> tuple[int, int]:
     """An optional `*C(n,k)` after a coefficient; k = 0 without one."""
     star = _STAR_RE.match(text, pos)
-    return (0, pos) if star is None else _read_binom(text, star.end(), base)
+    return (0, pos) if star is None else _read_binom(text, star.end())
 
 
 def _read_sum(
-    text: str, pos: int, base: int, stop: str | None, binom: bool
+    text: str, pos: int, stop: str | None, binom: bool
 ) -> tuple[dict[int, list[Term]], int]:
     """Signed terms from pos up to the end of text or the stop character.
 
     Returns the signed terms of each k, {k: [(symbol or None, numerator,
     denominator)]}, and the position of the stop character (len(text) at
-    the end).  Error offsets are ``base`` plus the position in ``text``.
+    the end).  Error offsets are positions in ``text``.
     """
     sums: dict[int, list[Term]] = {}
     n = len(text)
     pos = _skip_ws(text, pos)
     if pos == n or text[pos] == stop:
-        raise ParseError(f"empty {'polynomial' if binom else 'angle'}", base + pos)
+        raise ParseError(f"empty {'polynomial' if binom else 'angle'}", pos)
     sign = 1
     if text[pos] in "+-":
         sign = -1 if text[pos] == "-" else 1
         pos = _skip_ws(text, pos + 1)
     while True:
         if pos == n or text[pos] == stop:
-            raise ParseError("expected a term", base + pos)
-        k, parts, pos = _read_term(text, pos, base, binom)
+            raise ParseError("expected a term", pos)
+        k, parts, pos = _read_term(text, pos, binom)
         acc = sums.setdefault(k, [])
         acc.extend(parts if sign > 0 else [(sym, -p, q) for sym, p, q in parts])
         pos = _skip_ws(text, pos)
         if pos == n or text[pos] == stop:
             return sums, pos
         if text[pos] not in "+-":
-            raise ParseError(f"expected '+' or '-', found {text[pos]!r}", base + pos)
+            raise ParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
         sign = -1 if text[pos] == "-" else 1
         pos = _skip_ws(text, pos + 1)
 
 
-def parse_point(text: str, base_offset: int = 0) -> tuple[Angle, ...]:
+def parse_point(text: str) -> tuple[Angle, ...]:
     """Comma-separated list of angles; offsets in errors are global."""
     out: list[Angle] = []
     pos = 0
     while True:
-        sums, pos = _read_sum(text, pos, base_offset, ",", False)
+        sums, pos = _read_sum(text, pos, ",", False)
         out.append(_from_terms(sums[0]))
         if pos == len(text):
             return tuple(out)
@@ -396,7 +392,7 @@ def parse_binomial_sum(text: str) -> list[Angle]:
     The grammar is the README's polynomial grammar; k is at most
     MAX_BINOM_K.  Trailing zero coefficients are not trimmed.
     """
-    sums, _ = _read_sum(text, 0, 0, None, True)
+    sums, _ = _read_sum(text, 0, None, True)
     return [_from_terms(sums.get(k, ())) for k in range(max(sums) + 1)]
 
 

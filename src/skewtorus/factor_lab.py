@@ -27,7 +27,7 @@ trivial and the top component kills every listed generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .circle import Angle, ZERO, format_point
@@ -200,17 +200,7 @@ class NonseparationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "witness_valid": self.witness_valid,
-            "cosets_distinct": self.cosets_distinct,
-            "family_size": self.family_size,
-            "constant_vectors": self.constant_vectors,
-            "disagreements": list(self.disagreements),
-            "control_constant": self.control_constant,
-            "control_separates": self.control_separates,
-            "degenerate_equal": self.degenerate_equal,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 def nonseparation_witness(

@@ -2,6 +2,8 @@
 
 Every sampler draws only from the random.Random it is given, in a fixed
 order, so the check suites and `factor-lab kernel` reproduce for a seed.
+Maps are built straight from integer rows, with no angle in between;
+:func:`rand_angle` turns the same row draw into an angle.
 """
 
 from __future__ import annotations
@@ -9,21 +11,26 @@ from __future__ import annotations
 import random
 from math import factorial
 
-from .circle import Angle, ZERO
+from .circle import Angle
 from .combinatorics import binom
 from .ellis import HmElement
-from .endo import TruncEndo, TruncationContext
-from .factor_lab import HALF_TURN, FactorConfig, KernelSpec
+from .endo import Row, TruncEndo, TruncationContext
+from .factor_lab import FactorConfig, KernelSpec
 
 
-def rand_angle(rng: random.Random, ctx: TruncationContext, span: int = 2) -> Angle:
-    """Random angle with all denominators dividing the modulus."""
+def _rand_row(rng: random.Random, ctx: TruncationContext) -> Row:
+    """Random row: each coefficient drawn first, then the torsion entry."""
     M = ctx.modulus
     cs = [
-        rng.randrange(-span * M, span * M + 1) if rng.random() < 0.7 else 0
+        rng.randrange(-2 * M, 2 * M + 1) if rng.random() < 0.7 else 0
         for _ in ctx.basis.symbols
     ]
-    return ctx.angle((rng.randrange(M), *cs))
+    return (rng.randrange(M), *cs)
+
+
+def rand_angle(rng: random.Random, ctx: TruncationContext) -> Angle:
+    """Random angle with all denominators dividing the modulus."""
+    return ctx.angle(_rand_row(rng, ctx))
 
 
 def rand_free_angle(rng: random.Random, ctx: TruncationContext) -> Angle:
@@ -40,11 +47,11 @@ def rand_free_angle(rng: random.Random, ctx: TruncationContext) -> Angle:
 def rand_endo(
     rng: random.Random, ctx: TruncationContext, residue: int | None = None
 ) -> TruncEndo:
-    """Random map; the residue is drawn first unless one is given."""
-    if residue is None:
-        residue = rng.randrange(ctx.modulus)
-    imgs = tuple(rand_angle(rng, ctx) for _ in ctx.basis.symbols)
-    return TruncEndo(ctx, residue, imgs)
+    """Random map; the residue is drawn first, unless one is given (reduced mod M)."""
+    M = ctx.modulus
+    residue = rng.randrange(M) if residue is None else residue % M
+    rows = tuple(_rand_row(rng, ctx) for _ in ctx.basis.symbols)
+    return TruncEndo._from_rows(ctx, residue, rows)
 
 
 def rand_element(
@@ -77,16 +84,18 @@ def rand_g1(rng: random.Random, fac: FactorConfig, in_g: bool = False) -> HmElem
     x is drawn even when in_g replaces it, so both draw alike.
     """
     ctx = fac.ctx
+    zero = (0,) * (len(ctx.basis.symbols) + 1)
+    half_turn = (ctx.modulus // 2, *zero[1:])
     comps = [TruncEndo.power(ctx, 1)]
     for k in range(1, fac.m + 1):
-        imgs = []
+        rows = []
         for s in ctx.basis.symbols:
             if k == 1 and s == fac.x_symbol:
-                imgs.append(HALF_TURN if rng.random() < 0.5 else ZERO)
+                rows.append(half_turn if rng.random() < 0.5 else zero)
             else:
-                img = rand_angle(rng, ctx)
-                imgs.append(ZERO if in_g and k == 2 and s == fac.x_symbol else img)
-        comps.append(TruncEndo(ctx, 0, tuple(imgs)))
+                row = _rand_row(rng, ctx)
+                rows.append(zero if in_g and k == 2 and s == fac.x_symbol else row)
+        comps.append(TruncEndo._from_rows(ctx, 0, tuple(rows)))
     return HmElement(ctx, tuple(comps))
 
 
@@ -97,18 +106,19 @@ def rand_kernel_member(
     M = ctx.modulus
     comps = [TruncEndo.power(ctx, 1)] + [TruncEndo.power(ctx, 0)] * (spec.m - 1)
     kf = factorial(spec.m)
-    torsion = [g.num * M // g.den for g in spec.gamma if g.is_torsion]
+    gamma = [ctx.row(g) for g in spec.gamma]
+    torsion = [p for p, *cs in gamma if not any(cs)]
     residues = [
         r
         for r in (j * (M // kf) % M for j in range(kf))
         if all(r * t % M == 0 for t in torsion)
     ]
-    killed = {s for g in spec.gamma for s, _ in g.cs}
-    imgs = tuple(
-        ZERO if s in killed else rand_angle(rng, ctx)
-        for s in ctx.basis.symbols
+    zero = (0,) * (len(ctx.basis.symbols) + 1)
+    rows = tuple(
+        zero if any(g[j] for g in gamma) else _rand_row(rng, ctx)
+        for j in range(1, len(zero))
     )
-    comps.append(TruncEndo(ctx, rng.choice(residues), imgs))
+    comps.append(TruncEndo._from_rows(ctx, rng.choice(residues), rows))
     for k in range(spec.m + 1, m + 1):
         kf = factorial(k)
         comps.append(rand_endo(rng, ctx, rng.randrange(kf) * (M // kf)))

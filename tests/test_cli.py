@@ -676,6 +676,22 @@ def test_importing_the_cli_leaves_the_check_suites_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_runtime_loads_only_the_standard_library():
+    """Without site-packages, the package and its entry points import, and
+    every module loaded is the standard library's or skewtorus's own."""
+    src = str(Path(skewtorus.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import skewtorus, skewtorus.cli, skewtorus.checks, skewtorus.samplers; "
+            "print(*sorted(m for m in sys.modules if m != '__main__' "
+            "and m.partition('.')[0] not in sys.stdlib_module_names))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "skewtorus.samplers" in loaded
+    assert all(m == "skewtorus" or m.startswith("skewtorus.") for m in loaded), loaded
+
+
 def test_stdout_is_json_lines(capsys):
     assert main(["check", "circle.scaling", "--seed", "3"]) == 0
     out, err = capsys.readouterr()

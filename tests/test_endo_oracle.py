@@ -5,18 +5,25 @@ f(a) = p*r/M + sum_i c_i * images[i] with Angle additions, where
 (p, c) = decompose(a).  Group elements are lists of such maps, multiplied,
 inverted and applied by the triangular convolution written out directly.
 Every seeded case compares the row-based TruncEndo and HmElement results
-with the oracle's angles.
+with the oracle's angles.  The samplers build maps straight from integer
+rows; there the Angle constructor, fed the same residue and images, is the
+oracle.
 """
 
 import random
 from fractions import Fraction
 
+from math import factorial
+
 import pytest
 
+from skewtorus import samplers
+from skewtorus.checks import _swap
 from skewtorus.circle import Angle, BasisDecl, ZERO
 from skewtorus.ellis import HmElement, ast_mul, commutator
 from skewtorus.endo import TruncEndo, TruncationContext, decompose, minimal_level
 from skewtorus.errors import TruncationError
+from skewtorus.factor_lab import FactorConfig, default_kernel_specs
 
 F = Fraction
 SYMBOLS = ("b1", "b2", "b3")
@@ -218,6 +225,44 @@ def test_group_law_matches_the_oracle_at_higher_dimension():
         el, angle = ast_mul((ex, u), (ey, v), x0)
         assert normal_form(el) and same_element(el, xy, ctx), case
         assert angle == u + v + o_ast_correction(x, y, x0, ctx), case
+
+
+def rebuilt(maps):
+    """Each map equals the one the Angle constructor builds from its residue
+    and images."""
+    return all(TruncEndo(f.ctx, f.residue, f.images) == f for f in maps)
+
+
+@pytest.mark.parametrize("level", [2, 6, 12, 400])
+def test_sampled_rows_match_the_angle_constructor(level):
+    """Every sampler, and each way the check suites perturb a sample, builds
+    maps in normal form that the Angle constructor rebuilds exactly; every
+    sampled element passes the membership check."""
+    rng = random.Random(f"sampled rows at {level}")
+    ctx = context(level, 3)
+    M, gen = ctx.modulus, ctx.generator("b2")
+    fac = FactorConfig(ctx, "b1", min(level, 3))
+    m = min(level, 4)
+    for case in range(100 if level < 400 else 20):
+        assert rebuilt([samplers.rand_endo(rng, ctx)]), case
+        elements = [samplers.rand_element(rng, ctx, m, prefix) for prefix in range(m + 1)]
+        elements += [samplers.rand_g1(rng, fac, in_g) for in_g in (False, True)]
+        kernel = [(spec, samplers.rand_kernel_member(rng, ctx, spec, fac.m))
+                  for spec in default_kernel_specs(fac)]
+        for el in elements + [g for _, g in kernel]:
+            assert normal_form(el) and rebuilt(el.comps), case
+            HmElement.validate(ctx, el.comps)
+        swapped = []
+        for el in elements[:m + 1]:
+            k = rng.randint(1, m)
+            swapped.append(_swap(el, k, el.comps[k].residue + M // factorial(k) - 1))
+            swapped.append(_swap(el, k, images={0: el.comps[k].images[0] + gen}))
+        for spec, g in kernel:
+            top = g.comps[spec.m]
+            moved = {i: img + gen for i, img in enumerate(top.images)}
+            swapped.append(_swap(g, spec.m, top.residue + 1, moved))
+        for el in swapped:
+            assert normal_form(el) and rebuilt(el.comps), case
 
 
 @pytest.mark.parametrize("bad, level", [
