@@ -1,12 +1,12 @@
 """Seeded property-check suites behind the `check` CLI command.
 
 Each suite is a named function drawing randomness from its own
-random.Random seeded with "<seed>:<suite-name>", so any suite can be
-rerun in isolation and `check all` output is byte-reproducible for a
-fixed seed.  Suites record their cases in a SuiteResult; the runner
-times them, runs them sorted by suite id, and refuses a selection whose
-declared element dimension exceeds the level, or whose declared minimum
-level is above it, before any suite starts.
+random.Random seeded with "<seed>:<suite-name>", so any suite reruns in
+isolation and `check all` output is byte-reproducible for a fixed seed.
+Suites draw elements in the dimension their checks read and record their
+cases in a SuiteResult; the runner times them, runs them sorted by suite
+id, and refuses a selection whose declared dimension or minimum level the
+level cannot hold, before any suite starts.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .ellis import HmElement, ast_mul, commutator, predicted_commutator
 from .endo import TruncEndo, decompose, minimal_level
 from .errors import ConfigurationError, MembershipError, TruncationError
 from .factor_lab import (
+    FactorConfig,
     coset_equal,
     default_kernel_specs,
     g1_member,
@@ -116,9 +117,9 @@ REGISTRY: dict[str, tuple[SuiteFn, int | str | None, int]] = {}
 def suite(
     name: str, dim: int | str | None = None, level: int = 2
 ) -> Callable[[SuiteFn], SuiteFn]:
-    """Register a suite building elements of dimension dim: a number, the
-    name of a Config field, or None for min(4, level), which always fits.
-    ``level`` is the lowest truncation level the suite's fixed angles need."""
+    """Register a suite whose checks read elements up to dimension dim: a
+    number, a Config field name, or None for min(4, level), which always
+    fits.  ``level`` is the lowest level the suite's fixed angles need."""
 
     def register(fn: SuiteFn) -> SuiteFn:
         REGISTRY[name] = (fn, dim, level)
@@ -827,10 +828,10 @@ def _weyl_targets(env: CheckEnv, rec: SuiteResult) -> None:
 # ------------------------------------------------------------------ factor
 
 
-@suite("factor.membership", dim="factor_m", level=3)
+@suite("factor.membership", dim=2, level=3)
 def _factor_membership(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
-    fac = env.cfg.factor()
+    fac = FactorConfig(env.ctx, env.cfg.x_symbol, env.m)
     xi = fac.ctx.basis.index_of(fac.x_symbol)
     for _ in range(500):
         for in_g, member, sub in (False, g1_member, "outer"), (True, g_member, "inner"):
@@ -855,10 +856,10 @@ def _factor_membership(env: CheckEnv, rec: SuiteResult) -> None:
     )
 
 
-@suite("factor.cosets", dim="factor_m")
+@suite("factor.cosets", dim=2)
 def _factor_cosets(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
-    fac = env.cfg.factor()
+    fac = FactorConfig(env.ctx, env.cfg.x_symbol, env.m)
     half = Angle.parse("1/2")
     for _ in range(300):
         phi = rand_element(rng, fac.ctx, fac.m)
@@ -937,12 +938,10 @@ def _factor_nonseparation(env: CheckEnv, rec: SuiteResult) -> None:
 @suite("kernel.membership", dim="factor_m")
 def _kernel_membership(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
-    fac = env.cfg.factor()
-    ctx = fac.ctx
-    gen = ctx.generator(ctx.basis.symbols[0])
-    for spec in default_kernel_specs(fac):
+    gen = env.ctx.generator(env.basis.symbols[0])
+    for spec in default_kernel_specs(env.cfg.factor()):
         for _ in range(100):
-            g = rand_kernel_member(rng, ctx, spec, fac.m)
+            g = rand_kernel_member(rng, env.ctx, spec)
             rec.check(
                 kernel_member(g, spec), f"sampler misses kernel m={spec.m}"
             )
@@ -963,15 +962,12 @@ def _kernel_membership(env: CheckEnv, rec: SuiteResult) -> None:
 @suite("kernel.normality", dim="factor_m")
 def _kernel_normality(env: CheckEnv, rec: SuiteResult) -> None:
     rng = env.rng
-    fac = env.cfg.factor()
-    ctx = fac.ctx
-    for spec in default_kernel_specs(fac):
+    for spec in default_kernel_specs(env.cfg.factor()):
         for _ in range(200):
-            g = rand_kernel_member(rng, ctx, spec, fac.m)
-            h = rand_element(rng, ctx, fac.m)
-            conj = h.inverse() * g * h
+            g = rand_kernel_member(rng, env.ctx, spec)
+            h = rand_element(rng, env.ctx, spec.m)
             rec.check(
-                kernel_member(conj, spec),
+                kernel_member(h.inverse() * g * h, spec),
                 f"conjugation leaves the kernel, m={spec.m}",
             )
 

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, SkewtorusError
 
 RationalLike = Union[int, Rational]
 CoeffsLike = Union[Mapping[str, RationalLike], Iterable[tuple[str, RationalLike]]]
@@ -256,7 +257,13 @@ ZERO = Angle()
 def _fraction_text(n: int, d: int) -> str:
     """n/d in lowest terms: p/q, or p alone when q is 1."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError:  # past str()'s digit limit, which _literal keeps on input
+        x = max(n, d) // g
+        k = int((x.bit_length() - 1) * math.log10(2)) + 1  # 10**(k - 1) <= x
+        raise SkewtorusError(f"cannot print a {k + (x >= 10**k)}-digit integer: "
+                             f"the limit is {sys.get_int_max_str_digits()} digits") from None
 
 
 def _skip_ws(text: str, pos: int) -> int:

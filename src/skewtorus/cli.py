@@ -238,7 +238,7 @@ def _cmd_factor_kernel(args: argparse.Namespace) -> int:
         member_bad = 0
         normal_bad = 0
         for _ in range(args.samples):
-            g = rand_kernel_member(rng, fac.ctx, spec, s)
+            g = rand_kernel_member(rng, fac.ctx, spec)
             if not kernel_member(g, spec):
                 member_bad += 1
             h = rand_element(rng, fac.ctx, s)

@@ -75,19 +75,19 @@ class Config:
 
 
 # Largest truncation level.  Exact work grows with the size of L!:
-# `check ellis.group --seed 1` takes about 1.9 s at level 6 and 17 s at
+# `check ellis.group --seed 1` takes about 0.5 s at level 6 and 8-10 s at
 # 400 on 2 vCPUs with Python 3.11; README lists the curve.
 MAX_LEVEL = 400
 
 # Largest factor_m.  `factor-lab demo` work grows about as factor_m**3: at
-# level 400 it takes 0.2 s at 16 and 12 s at 256 (2 vCPUs).  `factor-lab
-# kernel` works in dimension 3 at most, whatever factor_m is.
+# level 400 and factor_m 16 it takes 0.16 s (2 vCPUs). `factor-lab kernel`
+# and the kernel, subgroup and coset suites draw in dimension 3 at most.
 FACTOR_MAX_M = 16
 
 # Most basis symbols.  A map has a row and a column per symbol, so group
 # work grows about as the square of the count: `factor-lab kernel --samples
-# 1000` at level 400 and factor_m 16 took 2.7-3.0 s with 2 symbols, 4.5-5.0 s
-# with 3, 7.8-9.7 s with 4, 14 s with 5 and 22 s with 6 (2 vCPUs).
+# 1000` at level 400 and factor_m 16 took 1.6-1.8 s with 2 symbols, 3.1-3.2 s
+# with 3, 5.5-5.9 s with 4, 9.2 s with 5 and 14 s with 6 (2 vCPUs).
 MAX_SYMBOLS = 4
 
 # Most fractional digits of a basis value.  The common denominator D of

@@ -100,9 +100,9 @@ def rand_g1(rng: random.Random, fac: FactorConfig, in_g: bool = False) -> HmElem
 
 
 def rand_kernel_member(
-    rng: random.Random, ctx: TruncationContext, spec: KernelSpec, m: int
+    rng: random.Random, ctx: TruncationContext, spec: KernelSpec
 ) -> HmElement:
-    """Sample from a kernel: trivial below spec.m, top kills the generators."""
+    """Kernel member of dimension spec.m: trivial below it, top kills the generators."""
     M = ctx.modulus
     comps = [TruncEndo.power(ctx, 1)] + [TruncEndo.power(ctx, 0)] * (spec.m - 1)
     kf = factorial(spec.m)
@@ -119,7 +119,4 @@ def rand_kernel_member(
         for j in range(1, len(zero))
     )
     comps.append(TruncEndo._from_rows(ctx, rng.choice(residues), rows))
-    for k in range(spec.m + 1, m + 1):
-        kf = factorial(k)
-        comps.append(rand_endo(rng, ctx, rng.randrange(kf) * (M // kf)))
     return HmElement(ctx, tuple(comps))

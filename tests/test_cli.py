@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -31,6 +32,7 @@ from skewtorus.config import FACTOR_MAX_M, MAX_LEVEL, MAX_PLACES, MAX_SYMBOLS, C
 from skewtorus.dynamics import MAX_SYSTEM_M
 from skewtorus.ellis import HmElement
 from skewtorus.endo import LEVEL_SEARCH_BOUND
+from skewtorus.samplers import rand_element
 from skewtorus.weyl import MAX_SAMPLES
 
 
@@ -322,6 +324,20 @@ def test_ellis_act_stops_the_level_search_at_its_bound(capsys):
     assert f"no level up to {LEVEL_SEARCH_BOUND} is sufficient" in capsys.readouterr().err
 
 
+def test_ellis_refuses_to_print_past_the_integer_digit_limit(tmp_path, capsys):
+    # solve mode nests compositions, so at level 400 the inverse of an m = 5
+    # element has a coefficient of about 4,300 digits
+    el = rand_element(random.Random(0), Config(level=400).context(), 5)
+    (tmp_path / "a5.json").write_text(json.dumps(el.to_dict()))
+    (tmp_path / "level400.json").write_text(json.dumps({"level": 400}))
+    argv = ["ellis", "inv", "--a", f"@{tmp_path / 'a5.json'}",
+            "--config", str(tmp_path / "level400.json")]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"the limit is {sys.get_int_max_str_digits()} digits" in err
+
+
 def test_ellis_element_from_file(tmp_path, capsys):
     path = tmp_path / "elem.json"
     path.write_text(tilde_json(9, 2))
@@ -411,6 +427,22 @@ def test_factor_lab_kernel_runs_the_sample_cap_at_level_400(tmp_path, capsys):
     rows = lines(capsys.readouterr().out)
     assert [r["spec_m"] for r in rows[:-1]] == [1, 2, 3]
     assert all(r["samples"] == KERNEL_MAX_SAMPLES and r["pass"] for r in rows[:-1])
+
+
+def test_sampled_checks_run_at_level_400_and_the_largest_factor_m(tmp_path, capsys):
+    # the coset and subgroup suites draw in dimension 2 and the kernel suites
+    # in each spec's own dimension, so factor_m does not scale their work;
+    # drawn in dimension factor_m the three took over 200 s at these caps
+    path = tmp_path / "level400.json"
+    path.write_text(json.dumps({"level": 400, "factor_m": FACTOR_MAX_M}))
+    start = time.perf_counter()
+    for selector in ("kernel", "factor.membership", "factor.cosets"):
+        assert main(["check", selector, "--seed", "1", "--config", str(path)]) == 0
+    assert time.perf_counter() - start < 20
+    summaries = [row for row in lines(capsys.readouterr().out) if row.get("summary")]
+    assert [(row["cases"], row["pass"]) for row in summaries] == [
+        (1400, True), (3002, True), (1200, True)
+    ]
 
 
 def test_factor_lab_requires_subcommand(capsys):

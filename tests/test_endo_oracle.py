@@ -247,8 +247,9 @@ def test_sampled_rows_match_the_angle_constructor(level):
         assert rebuilt([samplers.rand_endo(rng, ctx)]), case
         elements = [samplers.rand_element(rng, ctx, m, prefix) for prefix in range(m + 1)]
         elements += [samplers.rand_g1(rng, fac, in_g) for in_g in (False, True)]
-        kernel = [(spec, samplers.rand_kernel_member(rng, ctx, spec, fac.m))
+        kernel = [(spec, samplers.rand_kernel_member(rng, ctx, spec))
                   for spec in default_kernel_specs(fac)]
+        assert all(g.m == spec.m for spec, g in kernel), case
         for el in elements + [g for _, g in kernel]:
             assert normal_form(el) and rebuilt(el.comps), case
             HmElement.validate(ctx, el.comps)
