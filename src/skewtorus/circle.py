@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .errors import ConfigurationError, ParseError, SkewtorusError
 
@@ -88,6 +89,10 @@ class BasisDecl:
             return self.symbols.index(symbol)
         except ValueError:
             raise ConfigurationError(f"unknown basis symbol {symbol!r}") from None
+
+    def declares(self, a: Angle) -> bool:
+        """Whether every symbol that a uses is declared."""
+        return all(sym in self.symbols for sym, _ in a.cs)
 
     def value_of(self, symbol: str) -> tuple[int, int]:
         return self.values[self.index_of(symbol)]
@@ -242,8 +247,7 @@ class Angle:
 
     @classmethod
     def parse(cls, text: str) -> "Angle":
-        sums, _ = _read_sum(text, 0, None, False)
-        return _from_terms(sums[0])
+        return _from_terms(parse_terms(text))
 
 
 _new = object.__new__
@@ -379,6 +383,13 @@ def _read_sum(
             raise ParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
         sign = -1 if text[pos] == "-" else 1
         pos = _skip_ws(text, pos + 1)
+
+
+def parse_terms(text: str) -> list[Term]:
+    """The signed terms of an angle written as text, in order and not
+    reduced: ``1/2 - b1`` is [(None, 1, 2), ('b1', -1, 1)]."""
+    sums, _ = _read_sum(text, 0, None, False)
+    return sums[0]
 
 
 def parse_point(text: str) -> tuple[Angle, ...]:

@@ -133,6 +133,10 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     x0 = Angle.parse(args.x0) if args.x0 is not None else cfg.system().x0
     sys_ = BasicSystem(m, x0)
     point = parse_point(args.point) if args.point is not None else (ZERO,) * m
+    basis = cfg.basis()
+    for flag, text, angles in (("--x0", args.x0, (x0,)), ("--point", args.point, point)):
+        if text is not None and not all(map(basis.declares, angles)):
+            raise ConfigurationError(f"{flag} must use only basis symbols, got {text!r}")
     result = sys_.iterate(point, args.n)
     if sys_.minimal_base:
         _note("base rotation is minimal: x0 is not torsion")

@@ -14,8 +14,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping
+from typing import Any
 
 from .circle import Angle, BasisDecl
 from .dynamics import BasicSystem
@@ -68,7 +69,12 @@ class Config:
             x0 = Angle.parse(self.system_x0)
         except ParseError as exc:
             raise ConfigurationError(f"bad system x0: {exc}") from exc
-        return BasicSystem(self.system_m, x0)
+        if self.basis().declares(x0):
+            return BasicSystem(self.system_m, x0)
+        default = " (the default)" if self.system_x0 == Config.system_x0 else ""
+        raise ConfigurationError(
+            f"system.x0 must use only basis symbols, got {self.system_x0!r}{default}"
+        )
 
     def factor(self) -> FactorConfig:
         return FactorConfig(self.context(), self.x_symbol, self.factor_m)

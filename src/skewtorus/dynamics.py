@@ -29,10 +29,11 @@ integer points tilde(0), ..., tilde(m) already separate index vectors
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .circle import MAX_BINOM_K, Angle, ZERO, parse_binomial_sum
 from .combinatorics import binom, binomial_shift

@@ -26,11 +26,11 @@ cocycle run :func:`skewtorus.endo.kernel` once per output row.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
 from operator import mul, neg
-from typing import Mapping, Sequence
 
 from .circle import Angle
 from .combinatorics import binom

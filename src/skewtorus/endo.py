@@ -33,18 +33,21 @@ under the canonical ring map from Z.
 ``Angle`` appears only at the edges.  The public constructor and
 ``__call__`` read angles through :func:`decompose`; ``images`` and the
 result of ``__call__`` turn rows back into angles for formatting and
-JSON.
+JSON.  ``from_dict`` and :meth:`TruncationContext.parse_row` read image
+text straight into rows: each parsed term n/d * symbol adds n * (M // d)
+to its column, and only a sum with a term outside A_L goes through an
+``Angle`` and :func:`decompose`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from math import factorial, gcd
 from itertools import repeat
 from operator import add, itemgetter, mul
-from typing import Iterable, Mapping, Sequence
 
-from .circle import Angle, BasisDecl
+from .circle import Angle, BasisDecl, Term, parse_terms
 from .errors import ConfigurationError, TruncationError
 
 Row = tuple[int, ...]  # (p mod M, c_1, ..., c_d)
@@ -60,6 +63,8 @@ class TruncationContext:
     modulus: int = field(init=False, repr=False, compare=False)
     # (row column, symbol) for each declared symbol, in symbol order
     _columns: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+    # the row column of each declared symbol, and 0 for the torsion part (None)
+    _column_of: dict[str | None, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.level < 2:
@@ -69,6 +74,7 @@ class TruncationContext:
         object.__setattr__(self, "modulus", factorial(self.level))
         columns = sorted(enumerate(self.basis.symbols, start=1), key=itemgetter(1))
         object.__setattr__(self, "_columns", tuple(columns))
+        object.__setattr__(self, "_column_of", {None: 0, **{s: j for j, s in columns}})
 
     def generator(self, symbol: str) -> Angle:
         """The represented generator b/L! for a declared symbol."""
@@ -82,6 +88,27 @@ class TruncationContext:
         """The integer row of a; raises as :func:`decompose` does."""
         p, coords = decompose(a, self)
         return (p, *(coords.get(s, 0) for s in self.basis.symbols))
+
+    def parse_row(self, text: str) -> Row:
+        """The integer row of the angle written as text; raises as
+        ``self.row(Angle.parse(text))`` does."""
+        return self.terms_row(parse_terms(text))
+
+    def terms_row(self, terms: Sequence[Term]) -> Row:
+        """The integer row of the sum of the terms (symbol or None, n, d),
+        each added into its column as n * (M // d).  A term whose d does
+        not divide M, or whose symbol is undeclared, sends the sum through
+        :meth:`row`: it may still fit once reduced (1/1440 + 1/1440 at
+        level 6), and otherwise raises as :func:`decompose` does."""
+        M, column_of = self.modulus, self._column_of
+        row = [0] * len(column_of)
+        for sym, n, d in terms:
+            j = column_of.get(sym)
+            if j is None or M % d:
+                return self.row(Angle._from_terms(terms))
+            row[j] += n * (M // d)
+        row[0] %= M
+        return tuple(row)
 
     def angle(self, row: Sequence[int]) -> Angle:
         """The angle that an integer row stands for: row / L!, reduced by one gcd."""
@@ -132,8 +159,8 @@ class TruncEndo:
     ``rows[i]`` is the row of the image of the generator b_i/L! for the
     i-th declared symbol.  ``TruncEndo(ctx, residue, images)`` reads the
     images as angles and raises TruncationError for one outside the
-    subgroup; :meth:`make` also takes a symbol -> angle mapping and is
-    what user-facing input goes through.
+    subgroup; :meth:`make` also takes a symbol -> angle mapping, and
+    :meth:`from_dict` reads the JSON form that user-facing input uses.
     """
 
     ctx: TruncationContext
@@ -265,13 +292,19 @@ class TruncEndo:
         raw = data.get("images", {})
         if not isinstance(raw, Mapping):
             raise ConfigurationError("images must map symbols to angle strings")
-        images: dict[str, Angle] = {}
+        # every image is read before any is folded, so a parse error comes
+        # before a truncation error whatever the order of the keys
+        images: dict[str, list[Term] | Angle] = {}
         for sym, text in raw.items():
             ctx.basis.index_of(sym)
             if not isinstance(text, (str, Angle)):
                 raise ConfigurationError(f"image of {sym} must be an angle string, got {text!r}")
-            images[sym] = Angle.parse(text) if isinstance(text, str) else text
-        return cls.make(ctx, residue, images)
+            images[sym] = parse_terms(text) if isinstance(text, str) else text
+        rows = tuple([
+            ctx.row(img) if isinstance(img, Angle) else ctx.terms_row(img)
+            for img in (images.get(s, ()) for s in ctx.basis.symbols)
+        ])
+        return cls._from_rows(ctx, residue % ctx.modulus, rows)
 
 
 def stack(maps: Iterable[TruncEndo]) -> list[Row]:

@@ -105,6 +105,29 @@ def test_iterate_rejects_bad_angle(capsys):
     assert "empty angle (at offset 0)" in capsys.readouterr().err
 
 
+def test_iterate_refuses_undeclared_symbols(tmp_path, capsys):
+    """x0 and the start point use only declared symbols, whether they come
+    from the config or the flags; a symbol that cancels out is no use."""
+    assert main(["iterate", "--n", "3", "--x0", "1/2*b3"]) == 3
+    assert "error: --x0 must use only basis symbols, got '1/2*b3'" in capsys.readouterr().err
+    assert main(["iterate", "--n", "3", "--point", "1/2*b3,0"]) == 3
+    assert "error: --point must use only basis symbols, got '1/2*b3,0'" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"system": {"x0": "1*b3"}}))
+    for argv in (["iterate", "--n", "3"], ["check", "all", "--seed", "1"]):
+        assert main(argv + ["--config", str(bad)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: system.x0 must use only basis symbols, got '1*b3'\n"
+    cancelled = tmp_path / "cancelled.json"
+    cancelled.write_text(json.dumps({"system": {"x0": "b3 - b3 + 1/4"}}))
+    assert main(["iterate", "--n", "2", "--x0", "1/3 + b3 - b3",
+                 "--point", "b3 - b3, 0", "--config", str(cancelled)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"point": ["2/3", "1/3"]}
+    assert main(["iterate", "--n", "2", "--config", str(cancelled)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"point": ["1/2", "1/4"]}
+
+
 def test_weyl_rational_json(capsys):
     code = main(
         ["weyl", "--poly", "(1/3)*C(n,2)", "--N", "999",
@@ -608,6 +631,8 @@ def test_config_rejections(tmp_path, capsys):
         {"level": MAX_LEVEL + 1},
         {"level": MAX_LEVEL, "factor_m": FACTOR_MAX_M + 1},
         {"basis": {"c1": "0.4142135623730950488016887242096980785697"}},  # no b1
+        {"system": {"x0": "1*b3"}},  # not a basis symbol
+        {"basis": {"c1": "0.4142135623730950488016887242096980785697"}, "x_symbol": "c1"},
     ]
     for i, data in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -630,6 +655,8 @@ def test_config_rejections(tmp_path, capsys):
     assert f"level must be at most MAX_LEVEL = {MAX_LEVEL}, got {MAX_LEVEL + 1}" in err
     assert f"factor_m must be at most FACTOR_MAX_M = {FACTOR_MAX_M}, got {FACTOR_MAX_M + 1}" in err
     assert "x_symbol must be a symbol of the basis, got 'b1' (the default)" in err
+    assert "system.x0 must use only basis symbols, got '1*b3'\n" in err
+    assert "system.x0 must use only basis symbols, got '1*b1' (the default)" in err
     path = tmp_path / "not-json.json"
     path.write_text("{")
     assert main(["check", "comb.pascal", "--seed", "1",

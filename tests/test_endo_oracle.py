@@ -22,7 +22,7 @@ from skewtorus.checks import _swap
 from skewtorus.circle import Angle, BasisDecl, ZERO
 from skewtorus.ellis import HmElement, ast_mul, commutator
 from skewtorus.endo import TruncEndo, TruncationContext, decompose, minimal_level
-from skewtorus.errors import TruncationError
+from skewtorus.errors import ConfigurationError, ParseError, TruncationError
 from skewtorus.factor_lab import FactorConfig, default_kernel_specs
 
 F = Fraction
@@ -285,3 +285,125 @@ def test_unrepresentable_angles_raise_with_the_required_level(bad, level):
         with pytest.raises(TruncationError) as info:
             attempt()
         assert info.value.required_level == level
+
+
+# ------------------------------------------------------------- row reader
+
+
+def rand_image_text(rng, M):
+    """A seeded angle text over b1, b2 and the undeclared b3: mixed
+    denominators (some dividing M, some not), repeated symbols, signs and
+    blanks, and pairs of terms that fit at level L only once summed."""
+    blank = lambda: rng.choice(["", "", " ", "\t", "  "])
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        sym = rng.choice([None, None, "b1", "b1", "b2", "b3"])
+        d = rng.choice([1, 2, 3, 5, 12, M, M, 2 * M, 7 * M, 11])
+        n = rng.choice([1, rng.randint(0, 3 * d + 2)])
+        star = f"{blank()}*{blank()}"
+        if sym is None:
+            text = f"{n}" if d == 1 else f"{n}{blank()}/{blank()}{d}"
+        elif n == 1 and d == 1 and rng.random() < 0.5:
+            text = sym
+        else:
+            text = f"{n}/{d}{star}{sym}"
+        terms.append(text)
+        if d > M and rng.random() < 0.5:
+            terms.append(text)  # twice n/(kM) may reduce into A_L
+        if sym and rng.random() < 0.1:
+            terms += [text, text]  # a symbol repeated
+    signs = [rng.choice(["+", "-"]) for _ in terms]
+    out = ("-" if signs[0] == "-" else rng.choice(["", "+"])) + blank() + terms[0]
+    for sign, text in zip(signs[1:], terms[1:]):
+        out += f"{blank()}{sign}{blank()}{text}"
+    if rng.random() < 0.15:  # a cancelling pair, of b3 too
+        sym = rng.choice(["b1", "b3"])
+        out += f" + 1/{M * 3}*{sym} - 1/{M * 3}*{sym}"
+    if rng.random() < 0.08:  # a syntax error somewhere
+        k = rng.randrange(len(out) + 1)
+        out = out[:k] + rng.choice(["?", "+", "*", "/0", "/", ""]) + out[k:]
+    return out + blank()
+
+
+def angle_route(data, ctx):
+    """from_dict by way of Angle: read every image in key order, checking
+    its symbol and type and parsing it, then build the map with make."""
+    images = {}
+    for sym, text in data["images"].items():
+        ctx.basis.index_of(sym)
+        if not isinstance(text, (str, Angle)):
+            raise ConfigurationError(f"image of {sym} must be an angle string, got {text!r}")
+        images[sym] = Angle.parse(text) if isinstance(text, str) else text
+    return TruncEndo.make(ctx, data["residue"], images)
+
+
+def outcome(fn, *args):
+    """The result, or the error as (class, message, offset, required level)."""
+    try:
+        return fn(*args)
+    except (ConfigurationError, ParseError, TruncationError) as exc:
+        return (type(exc), str(exc), getattr(exc, "offset", None),
+                getattr(exc, "required_level", None))
+
+
+@pytest.mark.parametrize("level", [2, 6, 12, 400])
+def test_row_reader_matches_the_angle_route(level):
+    """parse_row and from_dict read text to the rows, or raise the errors,
+    that the Angle route gives, with the Angle constructor as the oracle for
+    every map that builds."""
+    rng = random.Random(f"row reader at {level}")
+    ctx = context(level, 2)
+    M = ctx.modulus
+    built, errors = 0, set()
+    for case in range(400 if level < 400 else 60):
+        texts = [rand_image_text(rng, M) for _ in range(3)]
+        for text in texts:
+            assert outcome(ctx.parse_row, text) == outcome(
+                lambda t: ctx.row(Angle.parse(t)), text), (case, text)
+        keys = rng.sample(["b1", "b2", "b3"] if rng.random() < 0.1 else ["b1", "b2"],
+                          rng.randint(0, 2))
+        images = dict(zip(keys, texts))
+        if images and rng.random() < 0.1:  # an Angle image, or one of the wrong type
+            key = rng.choice(keys)
+            angle = outcome(Angle.parse, images[key])
+            images[key] = rng.choice([angle if isinstance(angle, Angle) else ZERO, 3, None])
+        data = {"residue": rng.randint(-3 * M, 3 * M), "images": images}
+        got, want = outcome(TruncEndo.from_dict, data, ctx), outcome(angle_route, data, ctx)
+        assert got == want, (case, data)
+        if isinstance(got, TruncEndo):
+            oracle = TruncEndo(ctx, data["residue"],
+                               [angle_route(data, ctx).images[i] for i in range(2)])
+            assert got == oracle and hash(got) == hash(oracle), case
+            assert normal_form(HmElement(ctx, (TruncEndo.power(ctx, 1), got))), case
+            built += 1
+        else:
+            errors.add(got[0])
+    # maps build, and each kind of error is met
+    assert built > 20 and errors == {ConfigurationError, ParseError, TruncationError}
+
+
+def test_row_reader_keeps_the_error_precedence():
+    """Every image is parsed before any is read into a row, so a parse
+    error in a later image comes before a truncation error in an earlier
+    one, as on the Angle route; sums that reduce into A_L still build."""
+    ctx = context(6, 2)
+    data = {"residue": 1, "images": {"b1": "1/7", "b2": "1/2 +"}}
+    with pytest.raises(ParseError, match=r"^expected a term \(at offset 5\)$") as info:
+        TruncEndo.from_dict(data, ctx)
+    assert info.value.offset == 5
+    assert outcome(TruncEndo.from_dict, data, ctx) == outcome(angle_route, data, ctx)
+    for images, error in [
+        ({"b2": "1/2", "b1": "1/7"}, TruncationError),  # basis order decides
+        ({"b1": "1/7", "b2": "1*b3"}, TruncationError),
+        ({"b1": "1*b3", "b2": "1/7"}, ConfigurationError),
+        ({"b1": "1/7", "b3": "0"}, ConfigurationError),
+        ({"b1": "1/7", "b2": 5}, ConfigurationError),
+    ]:
+        data = {"residue": 0, "images": images}
+        assert type(outcome(TruncEndo.from_dict, data, ctx)[0]) is type
+        assert outcome(TruncEndo.from_dict, data, ctx) == outcome(angle_route, data, ctx)
+        assert outcome(TruncEndo.from_dict, data, ctx)[0] is error
+    reduced = TruncEndo.from_dict(
+        {"residue": 7, "images": {"b1": "1/1440 + 1/1440", "b2": "b3 - b3 + 1/720*b1"}}, ctx)
+    assert reduced == TruncEndo(ctx, 7, (Angle.parse("1/720"), ctx.generator("b1")))
+    assert ctx.parse_row("1/1440 + 1/1440") == (1, 0, 0)
