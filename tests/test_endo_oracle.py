@@ -349,8 +349,8 @@ def outcome(fn, *args):
 @pytest.mark.parametrize("level", [2, 6, 12, 400])
 def test_row_reader_matches_the_angle_route(level):
     """parse_row and from_dict read text to the rows, or raise the errors,
-    that the Angle route gives, with the Angle constructor as the oracle for
-    every map that builds."""
+    that the Angle route gives; the maps that build equal the Angle
+    constructor's."""
     rng = random.Random(f"row reader at {level}")
     ctx = context(level, 2)
     M = ctx.modulus
@@ -370,10 +370,8 @@ def test_row_reader_matches_the_angle_route(level):
         data = {"residue": rng.randint(-3 * M, 3 * M), "images": images}
         got, want = outcome(TruncEndo.from_dict, data, ctx), outcome(angle_route, data, ctx)
         assert got == want, (case, data)
-        if isinstance(got, TruncEndo):
-            oracle = TruncEndo(ctx, data["residue"],
-                               [angle_route(data, ctx).images[i] for i in range(2)])
-            assert got == oracle and hash(got) == hash(oracle), case
+        if isinstance(got, TruncEndo):  # want came from the Angle constructor
+            assert hash(got) == hash(want), case
             assert normal_form(HmElement(ctx, (TruncEndo.power(ctx, 1), got))), case
             built += 1
         else:
@@ -400,9 +398,8 @@ def test_row_reader_keeps_the_error_precedence():
         ({"b1": "1/7", "b2": 5}, ConfigurationError),
     ]:
         data = {"residue": 0, "images": images}
-        assert type(outcome(TruncEndo.from_dict, data, ctx)[0]) is type
-        assert outcome(TruncEndo.from_dict, data, ctx) == outcome(angle_route, data, ctx)
-        assert outcome(TruncEndo.from_dict, data, ctx)[0] is error
+        got = outcome(TruncEndo.from_dict, data, ctx)
+        assert got == outcome(angle_route, data, ctx) and got[0] is error, images
     reduced = TruncEndo.from_dict(
         {"residue": 7, "images": {"b1": "1/1440 + 1/1440", "b2": "b3 - b3 + 1/720*b1"}}, ctx)
     assert reduced == TruncEndo(ctx, 7, (Angle.parse("1/720"), ctx.generator("b1")))
