@@ -38,6 +38,7 @@ _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"([0-9]+)(?:[ \t]*/[ \t]*([0-9]+))?")
 _STAR_RE = re.compile(r"[ \t]*\*[ \t]*")
 _DECIMAL_RE = re.compile(r"([0-9]*)\.([0-9]+)")  # a basis value such as 0.4142
+_INTEGER_RE = re.compile(r"-?[0-9]+")  # int() alone also takes "١٢", "1_0" and blanks
 
 # Largest k in a binomial marker C(n,k).  A parse allocates one
 # coefficient per k up to the largest, so the cap bounds that work.
@@ -90,9 +91,13 @@ class BasisDecl:
         except ValueError:
             raise ConfigurationError(f"unknown basis symbol {symbol!r}") from None
 
-    def declares(self, a: Angle) -> bool:
-        """Whether every symbol that a uses is declared."""
-        return all(sym in self.symbols for sym, _ in a.cs)
+    def require_declared(
+        self, what: str, text: str | None, angles: Iterable[Angle], note: str = ""
+    ) -> None:
+        """Refuse angles, read for what from text, that use an undeclared
+        symbol; note ends the message."""
+        if any(sym not in self.symbols for a in angles for sym, _ in a.cs):
+            raise ConfigurationError(f"{what} must use only basis symbols, got {text!r}{note}")
 
     def value_of(self, symbol: str) -> tuple[int, int]:
         return self.values[self.index_of(symbol)]
@@ -281,6 +286,19 @@ def _expect(text: str, pos: int, token: str, message: str) -> int:
     if not text.startswith(token, pos):
         raise ParseError(message, pos)
     return pos + len(token)
+
+
+def int_literal(text: str, where: str, error: type[Exception] = ConfigurationError) -> int:
+    """The integer that text writes as ASCII digits after an optional '-'.
+    Other text raises error(f"{where} {text!r}"), and a literal past int()'s
+    digit limit an error that gives its length in place of its digits."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise error(f"{where} {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise error(f"{where}: integer literal of {digits} digits is too long") from None
 
 
 def _literal(m: re.Match, group: int) -> int:

@@ -18,7 +18,7 @@ import re
 import sys
 from datetime import datetime, timezone
 
-from .circle import Angle, ZERO, format_point, parse_point
+from .circle import Angle, ZERO, int_literal, parse_point
 from .config import Config, load_config
 from .dynamics import BasicSystem, CharacterIndex, PolyAngle, orbit_polynomial
 from .ellis import HmElement, commutator, predicted_commutator
@@ -57,7 +57,7 @@ def _note(text: str) -> None:
     sys.stderr.write(f"# {text}\n")
 
 
-def _element(text: str, ctx) -> HmElement:
+def _element(flag: str, text: str, ctx) -> HmElement:
     if text.startswith("@"):
         path = text[1:]
         try:
@@ -69,30 +69,26 @@ def _element(text: str, ctx) -> HmElement:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid JSON argument: {exc}") from exc
+    except ValueError:  # past int()'s digit limit; a hook on every read would slow each one
+        data = json.loads(text, parse_int=lambda t: int_literal(t, flag))
     if not isinstance(data, dict):
         raise ConfigurationError("JSON argument must be an object")
     return HmElement.from_dict(data, ctx)
 
 
-# int() and float() alone would also take other scripts' digits ("١٢"),
-# underscores and blanks; float() also takes "nan" and "inf"
-_INTEGER = re.compile(r"-?[0-9]+")
+# float() alone would also take other scripts' digits ("١٢"), underscores,
+# blanks, "nan" and "inf"
 _DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 def _int(text: str) -> int:
-    if not _INTEGER.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"bad integer value {text!r}")
-    return int(text)
+    return int_literal(text, "bad integer value", argparse.ArgumentTypeError)
 
 
 def _parse_shifts(text: str) -> tuple[int, ...]:
     out = []
     for part in text.split(","):
-        part = part.strip()
-        if not _INTEGER.fullmatch(part):
-            raise ConfigurationError(f"bad shift value {part!r}")
-        k = int(part)
+        k = int_literal(part.strip(), "bad shift value")
         if k < 0:
             raise ConfigurationError(f"shifts must be nonnegative, got {k}")
         out.append(k)
@@ -134,9 +130,8 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     sys_ = BasicSystem(m, x0)
     point = parse_point(args.point) if args.point is not None else (ZERO,) * m
     basis = cfg.basis()
-    for flag, text, angles in (("--x0", args.x0, (x0,)), ("--point", args.point, point)):
-        if text is not None and not all(map(basis.declares, angles)):
-            raise ConfigurationError(f"{flag} must use only basis symbols, got {text!r}")
+    basis.require_declared("--x0", args.x0, (x0,))
+    basis.require_declared("--point", args.point, point)
     result = sys_.iterate(point, args.n)
     if sys_.minimal_base:
         _note("base rotation is minimal: x0 is not torsion")
@@ -161,9 +156,11 @@ def _cmd_weyl(args: argparse.Namespace) -> int:
         raise ConfigurationError("exactly one of --poly or --char is required")
     if args.poly is not None:
         poly = PolyAngle.parse(args.poly)
+        basis.require_declared("--poly", args.poly, poly.coeffs)
     else:
         sys_ = cfg.system()
         point = parse_point(args.point) if args.point is not None else (ZERO,) * sys_.m
+        basis.require_declared("--point", args.point, point)
         poly = orbit_polynomial(sys_, CharacterIndex.basis(args.char), point)
     N = args.N if args.N is not None else cfg.N
     shifts = _parse_shifts(args.shifts) if args.shifts is not None else cfg.shifts
@@ -183,16 +180,16 @@ def _cmd_ellis(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--b is required for {args.op}")
     if args.op == "act" and args.point is None:
         raise ConfigurationError("--point is required for act")
-    a = _element(args.a, ctx)
+    a = _element("--a", args.a, ctx)
     if args.op == "star":
-        b = _element(args.b, ctx)
+        b = _element("--b", args.b, ctx)
         _emit((a * b).to_dict())
         return 0
     if args.op == "inv":
         _emit(a.inverse().to_dict())
         return 0
     if args.op == "comm":
-        b = _element(args.b, ctx)
+        b = _element("--b", args.b, ctx)
         com = commutator(a, b)
         prefix = a.central_level()
         predicted = predicted_commutator(a, b)
@@ -208,6 +205,7 @@ def _cmd_ellis(args: argparse.Namespace) -> int:
         return 0 if agrees else 2
     if args.op == "act":
         point = parse_point(args.point)
+        ctx.basis.require_declared("--point", args.point, point)
         _emit({"point": [str(x) for x in a.act(point)]})
         return 0
     if args.op == "is-iterate":

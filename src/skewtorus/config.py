@@ -18,7 +18,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .circle import Angle, BasisDecl
+from .circle import Angle, BasisDecl, int_literal
 from .dynamics import BasicSystem
 from .endo import TruncationContext
 from .errors import ConfigurationError, ParseError
@@ -69,12 +69,9 @@ class Config:
             x0 = Angle.parse(self.system_x0)
         except ParseError as exc:
             raise ConfigurationError(f"bad system x0: {exc}") from exc
-        if self.basis().declares(x0):
-            return BasicSystem(self.system_m, x0)
         default = " (the default)" if self.system_x0 == Config.system_x0 else ""
-        raise ConfigurationError(
-            f"system.x0 must use only basis symbols, got {self.system_x0!r}{default}"
-        )
+        self.basis().require_declared("system.x0", self.system_x0, (x0,), default)
+        return BasicSystem(self.system_m, x0)
 
     def factor(self) -> FactorConfig:
         return FactorConfig(self.context(), self.x_symbol, self.factor_m)
@@ -191,7 +188,7 @@ def load_config(path: str | None = None) -> Config:
         return Config()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=lambda t: int_literal(t, f"config {path}"))
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

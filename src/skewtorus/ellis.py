@@ -28,20 +28,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache
 from math import factorial
 from operator import mul, neg
 
 from .circle import Angle
 from .combinatorics import binom
-from .endo import Row, TruncationContext, TruncEndo, kernel, stack
+from .endo import TruncationContext, TruncEndo, identity_rows, kernel, stack
 from .errors import ConfigurationError, MembershipError
-
-
-@cache
-def _identity_rows(d: int) -> tuple[Row, ...]:
-    """The rows (0, e_i) of the identity map on d symbols."""
-    return tuple([(0, *[int(j == i) for j in range(d)]) for i in range(d)])
 
 
 def _convolve(
@@ -63,7 +56,7 @@ def _convolve(
     out = [a[0]]
     # the residues and rows of b_k, ..., b_1, b_0 = id, the latest first
     residues = [1]
-    vecs = [[0] * i + [1] + [0] * (w - 1 - i) for i in range(1, w)]
+    vecs = list(map(list, identity_rows(w - 1)))
     for k in range(1, len(a)):
         residues.insert(0, b[k].residue)
         for v, row in zip(vecs, b[k].rows):
@@ -109,7 +102,7 @@ class HmElement:
             if e.ctx != ctx:
                 raise ConfigurationError("component built for a different context")
             e.validate()  # checks nothing on rows; perfbench traces this call
-        if comps[0].residue != 1 or comps[0].rows != _identity_rows(len(comps[0].rows)):
+        if comps[0].residue != 1 or comps[0].rows != identity_rows(len(comps[0].rows)):
             raise MembershipError(0, "must be the identity map")
         M = ctx.modulus
         r1 = comps[1].residue
@@ -152,8 +145,7 @@ class HmElement:
 
     def inverse(self) -> "HmElement":
         """Two-sided inverse: the solve of self * z = id = (id, 0, ..., 0)."""
-        rows = tuple([(0,) * len(r) for r in self.comps[0].rows])
-        zero = TruncEndo._from_rows(self.ctx, 0, rows)  # cheaper than power(ctx, 0)
+        zero = TruncEndo.power(self.ctx, 0)
         return HmElement(self.ctx, _convolve(self.comps, [self.comps[0]] + [zero] * self.m, True))
 
     def truncate(self, new_m: int) -> "HmElement":
@@ -208,6 +200,9 @@ class HmElement:
 
     @classmethod
     def from_dict(cls, data: Mapping, ctx: TruncationContext) -> "HmElement":
+        for key in ("level", "m"):
+            if type(data.get(key, 0)) is not int:  # 0 stands for an absent key; bool is no int
+                raise ConfigurationError(f"{key} must be an integer, got {data[key]!r}")
         if "level" in data and data["level"] != ctx.level:
             raise ConfigurationError(
                 f"element was written at level {data['level']}, "

@@ -14,8 +14,9 @@ An endomorphism of the ambient group restricted to A_L is determined by
 a residue r mod M (its action on torsion: p/M -> r p/M) and one row per
 declared symbol i, the image (p_i, c_i1, ..., c_id) of the generator
 b_i/M.  A :class:`TruncEndo` stores that (``ctx``, ``residue``, ``rows``)
-and, once used, its columns: a matrix with the torsion row on top.  The
-one row kernel, :func:`kernel`, applies it to the row (p, c),
+and nothing else; :func:`stack` lays it out as columns, a matrix with the
+torsion row on top.  The one row kernel, :func:`kernel`, applies it to
+the row (p, c),
 
     torsion  r p + sum_i c_i p_i  (mod M),   coefficient j  sum_i c_i c_ij,
 
@@ -33,19 +34,20 @@ under the canonical ring map from Z.
 ``Angle`` appears only at the edges.  The public constructor and
 ``__call__`` read angles through :func:`decompose`; ``images`` and the
 result of ``__call__`` turn rows back into angles for formatting and
-JSON.  ``from_dict`` and :meth:`TruncationContext.parse_row` read image
-text straight into rows: each parsed term n/d * symbol adds n * (M // d)
-to its column, and only a sum with a term outside A_L goes through an
-``Angle`` and :func:`decompose`.
+JSON.  ``from_dict`` reads image text straight into rows through
+:meth:`TruncationContext.terms_row`: each parsed term n/d * symbol adds
+n * (M // d) to its column, and only a sum with a term outside A_L goes
+through an ``Angle`` and :func:`decompose`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from math import factorial, gcd
 from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from .circle import Angle, BasisDecl, Term, parse_terms
 from .errors import ConfigurationError, TruncationError
@@ -61,9 +63,8 @@ class TruncationContext:
     level: int
     basis: BasisDecl
     modulus: int = field(init=False, repr=False, compare=False)
-    # (row column, symbol) for each declared symbol, in symbol order
-    _columns: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
-    # the row column of each declared symbol, and 0 for the torsion part (None)
+    # the row column of the torsion part (None), 0, then of each declared
+    # symbol, in symbol order
     _column_of: dict[str | None, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -72,9 +73,8 @@ class TruncationContext:
                 f"truncation level must be >= 2, got {self.level}"
             )
         object.__setattr__(self, "modulus", factorial(self.level))
-        columns = sorted(enumerate(self.basis.symbols, start=1), key=itemgetter(1))
-        object.__setattr__(self, "_columns", tuple(columns))
-        object.__setattr__(self, "_column_of", {None: 0, **{s: j for j, s in columns}})
+        columns = sorted((s, j) for j, s in enumerate(self.basis.symbols, start=1))
+        object.__setattr__(self, "_column_of", {None: 0, **dict(columns)})
 
     def generator(self, symbol: str) -> Angle:
         """The represented generator b/L! for a declared symbol."""
@@ -88,11 +88,6 @@ class TruncationContext:
         """The integer row of a; raises as :func:`decompose` does."""
         p, coords = decompose(a, self)
         return (p, *(coords.get(s, 0) for s in self.basis.symbols))
-
-    def parse_row(self, text: str) -> Row:
-        """The integer row of the angle written as text; raises as
-        ``self.row(Angle.parse(text))`` does."""
-        return self.terms_row(parse_terms(text))
 
     def terms_row(self, terms: Sequence[Term]) -> Row:
         """The integer row of the sum of the terms (symbol or None, n, d),
@@ -114,7 +109,7 @@ class TruncationContext:
         """The angle that an integer row stands for: row / L!, reduced by one gcd."""
         M = self.modulus
         g = gcd(M, *row)
-        cs = tuple([(s, row[j] // g) for j, s in self._columns if row[j]])
+        cs = tuple([(s, row[j] // g) for s, j in self._column_of.items() if j and row[j]])
         return Angle._make(M // g, row[0] % M // g, cs)
 
 
@@ -166,7 +161,6 @@ class TruncEndo:
     ctx: TruncationContext
     residue: int
     rows: tuple[Row, ...]
-    _cols: list[Row] | None = field(repr=False, compare=False)  # see _columns
 
     def __init__(
         self, ctx: TruncationContext, residue: int, images: Sequence[Angle]
@@ -178,7 +172,6 @@ class TruncEndo:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "residue", residue % ctx.modulus)
         object.__setattr__(self, "rows", tuple(map(ctx.row, images)))
-        object.__setattr__(self, "_cols", None)
 
     @classmethod
     def _from_rows(
@@ -189,7 +182,6 @@ class TruncEndo:
         object.__setattr__(endo, "ctx", ctx)
         object.__setattr__(endo, "residue", residue)
         object.__setattr__(endo, "rows", rows)
-        object.__setattr__(endo, "_cols", None)
         return endo
 
     @classmethod
@@ -222,10 +214,8 @@ class TruncEndo:
     @classmethod
     def power(cls, ctx: TruncationContext, n: int) -> "TruncEndo":
         """Multiplication by the integer n."""
-        d = len(ctx.basis.symbols)
-        rows = tuple(
-            (0, *(n if j == i else 0 for j in range(d))) for i in range(d)
-        )
+        identity = identity_rows(len(ctx.basis.symbols))
+        rows = tuple([tuple([n * x for x in row]) for row in identity])
         return cls._from_rows(ctx, n % ctx.modulus, rows)
 
     def is_zero_map(self) -> bool:
@@ -241,15 +231,9 @@ class TruncEndo:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ConfigurationError("operands live in different contexts")
 
-    def _columns(self) -> list[Row]:
-        """stack((self,)), kept with the map from its first use on."""
-        if self._cols is None:
-            object.__setattr__(self, "_cols", stack((self,)))
-        return self._cols
-
     def __call__(self, a: Angle) -> Angle:
         ctx = self.ctx
-        return ctx.angle(kernel(ctx.row(a), self._columns(), ctx.modulus))
+        return ctx.angle(kernel(ctx.row(a), stack((self,)), ctx.modulus))
 
     def __mul__(self, other: "TruncEndo") -> "TruncEndo":
         """Pointwise sum of circle-valued maps (the ambient group law)."""
@@ -269,7 +253,7 @@ class TruncEndo:
     def compose(self, other: "TruncEndo") -> "TruncEndo":
         """self after other: the kernel of self over the rows of other."""
         self._require_ctx(other)
-        M, cols = self.ctx.modulus, self._columns()
+        M, cols = self.ctx.modulus, stack((self,))
         rows = tuple([kernel(row, cols, M) for row in other.rows])
         return TruncEndo._from_rows(self.ctx, self.residue * other.residue % M, rows)
 
@@ -305,6 +289,12 @@ class TruncEndo:
             for img in (images.get(s, ()) for s in ctx.basis.symbols)
         ])
         return cls._from_rows(ctx, residue % ctx.modulus, rows)
+
+
+@cache
+def identity_rows(d: int) -> tuple[Row, ...]:
+    """The rows (0, e_i) of the identity map on d symbols."""
+    return tuple([(0, *[int(j == i) for j in range(d)]) for i in range(d)])
 
 
 def stack(maps: Iterable[TruncEndo]) -> list[Row]:

@@ -128,6 +128,26 @@ def test_iterate_refuses_undeclared_symbols(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"point": ["1/2", "1/4"]}
 
 
+def test_weyl_and_ellis_act_name_the_flag_with_an_undeclared_symbol(capsys):
+    """--poly and --point are refused by name when they use a symbol the
+    basis does not declare; a symbol that cancels out is accepted."""
+    act = ["ellis", "act", "--a", tilde_json(2, 3)]
+    for flag, argv in [
+        ("--poly", ["weyl", "--poly", "1*b3*C(n,2)"]),
+        ("--point", ["weyl", "--char", "1", "--point", "1/2*b3,0"]),
+        ("--point", act + ["--point", "0,1/2*b3,0,0"]),
+    ]:
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must use only basis symbols, got {argv[-1]!r}\n"
+    assert main(["weyl", "--poly", "b3 - b3 + 1/3*C(n,1)", "--N", "30", "--shifts", "0"]) == 0
+    # exit 2: the run went ahead, and 10 samples miss the target
+    assert main(["weyl", "--char", "1", "--point", "b3 - b3,0", "--N", "10", "--shifts", "0"]) == 2
+    assert main(act + ["--point", "b3 - b3,0,0,0"]) == 0
+    assert lines(capsys.readouterr().out)[-1] == {"point": ["0", "0", "0", "0"]}
+
+
 def test_weyl_rational_json(capsys):
     code = main(
         ["weyl", "--poly", "(1/3)*C(n,2)", "--N", "999",
@@ -359,6 +379,36 @@ def test_ellis_refuses_to_print_past_the_integer_digit_limit(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"the limit is {sys.get_int_max_str_digits()} digits" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "shifts", "inline", "file", "config"])
+def test_integers_past_the_digit_limit_name_their_source(source, tmp_path, capsys):
+    """An integer too long for int() exits 3 with its length and where it
+    came from, not CPython's advice to raise the limit."""
+    digits = sys.get_int_max_str_digits() + 700
+    big = "9" * digits
+    element = json.loads(tilde_json(1, 1))
+    element["comps"][1]["residue"] = "big"
+    element = json.dumps(element).replace('"big"', big)
+    (tmp_path / "big.json").write_text(element)
+    (tmp_path / "seed.json").write_text(f'{{"seed": -{big}}}')
+    argv, where = {
+        "flag": (["iterate", "--n", f"-{big}"], "argument --n: bad integer value"),
+        "shifts": (["weyl", "--poly", "b1*C(n,1)", "--shifts", f"0,{big}"], "bad shift value"),
+        "inline": (["ellis", "inv", "--a", element], "--a"),
+        "file": (["ellis", "inv", "--a", f"@{tmp_path / 'big.json'}"], "--a"),
+        "config": (["check", "all", "--config", str(tmp_path / "seed.json")],
+                   f"config {tmp_path / 'seed.json'}"),
+    }[source]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on a bad flag
+        code = exc.code
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{where}: integer literal of {digits} digits is too long\n" in err
+    assert "set_int_max_str_digits" not in err and big not in err
 
 
 def test_ellis_element_from_file(tmp_path, capsys):

@@ -233,6 +233,15 @@ def test_serialization_round_trip():
         HmElement.from_dict({"comps": "nope"}, CTX)
 
 
+def test_from_dict_requires_integer_level_and_m():
+    data = HmElement.tilde(CTX, 1, 1).to_dict()
+    for key, value in [("m", "1"), ("m", True), ("m", 1.0), ("level", "6"),
+                       ("level", 6.0), ("level", None)]:
+        with pytest.raises(ConfigurationError) as info:
+            HmElement.from_dict({**data, key: value}, CTX)
+        assert str(info.value) == f"{key} must be an integer, got {value!r}"
+
+
 # ------------------------------------------- the convolution's three modes
 
 

@@ -16,6 +16,7 @@ from skewtorus.endo import (
     TruncEndo,
     TruncationContext,
     decompose,
+    identity_rows,
     minimal_level,
 )
 from skewtorus.errors import ConfigurationError, TruncationError
@@ -97,6 +98,19 @@ def test_power_maps():
     assert not full.is_zero_map()
     assert full(CTX.torsion_generator()) == ZERO
     assert full(GX) == Angle(0, {"b1": 1})
+
+
+def test_power_scales_the_identity_rows():
+    """power(ctx, n) is the map with residue n and images n * b_i/L!, for
+    1 to 4 symbols declared out of alphabetical order."""
+    for d in range(1, 5):
+        decimals = {f"b{5 - i}": f"0.{3 * i + 1}" + "7" * 30 for i in range(1, d + 1)}
+        ctx = TruncationContext(6, BasisDecl.from_decimals(decimals))
+        assert identity_rows(d) == TruncEndo.power(ctx, 1).rows
+        for n in (0, 1, -1, ctx.modulus, -ctx.modulus - 1, 10**30):
+            want = TruncEndo(ctx, n, [n * ctx.generator(s) for s in ctx.basis.symbols])
+            got = TruncEndo.power(ctx, n)
+            assert got == want and hash(got) == hash(want), (d, n)
 
 
 def test_evaluation_is_additive():

@@ -19,7 +19,7 @@ import pytest
 
 from skewtorus import samplers
 from skewtorus.checks import _swap
-from skewtorus.circle import Angle, BasisDecl, ZERO
+from skewtorus.circle import Angle, BasisDecl, ZERO, parse_terms
 from skewtorus.ellis import HmElement, ast_mul, commutator
 from skewtorus.endo import TruncEndo, TruncationContext, decompose, minimal_level
 from skewtorus.errors import ConfigurationError, ParseError, TruncationError
@@ -348,7 +348,7 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("level", [2, 6, 12, 400])
 def test_row_reader_matches_the_angle_route(level):
-    """parse_row and from_dict read text to the rows, or raise the errors,
+    """terms_row and from_dict read text to the rows, or raise the errors,
     that the Angle route gives; the maps that build equal the Angle
     constructor's."""
     rng = random.Random(f"row reader at {level}")
@@ -358,7 +358,7 @@ def test_row_reader_matches_the_angle_route(level):
     for case in range(400 if level < 400 else 60):
         texts = [rand_image_text(rng, M) for _ in range(3)]
         for text in texts:
-            assert outcome(ctx.parse_row, text) == outcome(
+            assert outcome(lambda t: ctx.terms_row(parse_terms(t)), text) == outcome(
                 lambda t: ctx.row(Angle.parse(t)), text), (case, text)
         keys = rng.sample(["b1", "b2", "b3"] if rng.random() < 0.1 else ["b1", "b2"],
                           rng.randint(0, 2))
@@ -403,4 +403,4 @@ def test_row_reader_keeps_the_error_precedence():
     reduced = TruncEndo.from_dict(
         {"residue": 7, "images": {"b1": "1/1440 + 1/1440", "b2": "b3 - b3 + 1/720*b1"}}, ctx)
     assert reduced == TruncEndo(ctx, 7, (Angle.parse("1/720"), ctx.generator("b1")))
-    assert ctx.parse_row("1/1440 + 1/1440") == (1, 0, 0)
+    assert ctx.terms_row(parse_terms("1/1440 + 1/1440")) == (1, 0, 0)
