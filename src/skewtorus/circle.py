@@ -77,12 +77,11 @@ class BasisDecl:
         values = []
         for name, text in decls.items():
             m = _DECIMAL_RE.fullmatch(text)
-            try:
-                values.append((int(m[1] + m[2]), 10 ** len(m[2])))
-            except (TypeError, ValueError):  # m is None, or past int()'s digit limit
+            if m is None:
                 raise ConfigurationError(
                     f"basis value for {name} is not a decimal literal: {text!r}"
-                ) from None
+                )
+            values.append((int_literal(m[1] + m[2], f"basis value for {name}"), 10 ** len(m[2])))
         return cls(tuple(decls), tuple(values))
 
     def index_of(self, symbol: str) -> int:

@@ -186,13 +186,29 @@ def load_config(path: str | None = None) -> Config:
     path = path or os.environ.get("SKEWTORUS_CONFIG")
     if not path:
         return Config()
+    return config_from_dict(read_json_object(f"config {path}", None, path))
+
+
+def read_json_object(source: str, text: str | None, path: str | None = None) -> dict:
+    """The JSON object in the UTF-8 file at path if given, else in text; each
+    failure raises a ConfigurationError naming source ("--a", "config <path>")."""
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read {source}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{source}: {path!r} is not UTF-8 ({exc})") from None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_int=lambda t: int_literal(t, f"config {path}"))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{source} is not valid JSON: {exc}") from exc
+        except ValueError:  # past int()'s digit limit; a hook on every read would slow each one
+            data = json.loads(text, parse_int=lambda t: int_literal(t, source))
+    except RecursionError:
+        raise ConfigurationError(f"{source} nests too deeply to decode") from None
     if not isinstance(data, dict):
-        raise ConfigurationError(f"config {path} must hold a JSON object")
-    return config_from_dict(data)
+        raise ConfigurationError(f"{source} must hold a JSON object")
+    return data

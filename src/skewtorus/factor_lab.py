@@ -3,11 +3,11 @@
 Fix a designated irrational point x (a declared generator divided by
 L!) and consider the subgroups of a dimension-m element group
 
-    G1 = { phi : residue(phi_1) = 0  and  phi_1(2x) = 0 },
+    G1 = { phi : residue(phi_k) = 0 for k >= 1  and  phi_1(2x) = 0 },
     G  = { phi in G1 : phi_2(x) = 0 }.
 
-Cosets of G inside G1 are decided by three exact conditions; the pair
-correction
+Cosets of G are decided by equal residues and three exact conditions; the
+pair correction
 
     alpha(phi, psi) = phi_1(phi_1(x) - psi_1(x))  in {0, 1/2}
 
@@ -72,10 +72,9 @@ def _check_dim(phi: HmElement, cfg: FactorConfig) -> None:
 
 
 def g1_member(phi: HmElement, cfg: FactorConfig) -> bool:
-    """residue(phi_1) = 0 and phi_1(2x) = 0."""
+    """residue(phi_k) = 0 for 1 <= k <= m, and phi_1(2x) = 0."""
     _check_dim(phi, cfg)
-    phi1 = phi.comps[1]
-    return phi1.residue == 0 and not phi1(2 * cfg.point)
+    return not any(c.residue for c in phi.comps[1:]) and not phi.comps[1](2 * cfg.point)
 
 
 def g_member(phi: HmElement, cfg: FactorConfig) -> bool:
@@ -97,14 +96,17 @@ def pair_correction(phi: HmElement, psi: HmElement, cfg: FactorConfig) -> Angle:
 
 
 def coset_equal(phi: HmElement, psi: HmElement, cfg: FactorConfig) -> bool:
-    """Same coset of G inside the ambient group: (A), (B), twisted (C).
+    """Same coset of G inside the ambient group: (A), (B), twisted (C), and
+    equal residues in every slot.
 
     Exactly equivalent to inverse(phi) * psi in G, but decided from the
-    components directly.
+    components directly (a product's residues convolve its operands').
     """
     try:
         alpha = pair_correction(phi, psi, cfg)  # raises unless (A) and (B)
     except RelationError:
+        return False
+    if any(a.residue != b.residue for a, b in zip(phi.comps, psi.comps)):
         return False
     return phi.comps[2](cfg.point) == psi.comps[2](cfg.point) + alpha  # twisted (C)
 

@@ -78,10 +78,8 @@ def rand_g1(rng: random.Random, fac: FactorConfig, in_g: bool = False) -> HmElem
     """Member of the outer subgroup, or with in_g of the inner one, which
     also kills x at degree 2; see the coset module docstring.
 
-    Degree >= 2 components are drawn torsion-trivial (residue 0): at a
-    finite level the coherence congruence alone would admit "ghost"
-    residues that no infinite-level member shadows.  The degree-2 image of
-    x is drawn even when in_g replaces it, so both draw alike.
+    Every component is drawn with residue 0, as G1 requires.  The degree-2
+    image of x is drawn even when in_g replaces it, so both draw alike.
     """
     ctx = fac.ctx
     zero = (0,) * (len(ctx.basis.symbols) + 1)

@@ -381,7 +381,7 @@ def test_ellis_refuses_to_print_past_the_integer_digit_limit(tmp_path, capsys):
     assert f"the limit is {sys.get_int_max_str_digits()} digits" in err
 
 
-@pytest.mark.parametrize("source", ["flag", "shifts", "inline", "file", "config"])
+@pytest.mark.parametrize("source", ["flag", "shifts", "inline", "file", "config", "basis"])
 def test_integers_past_the_digit_limit_name_their_source(source, tmp_path, capsys):
     """An integer too long for int() exits 3 with its length and where it
     came from, not CPython's advice to raise the limit."""
@@ -392,6 +392,7 @@ def test_integers_past_the_digit_limit_name_their_source(source, tmp_path, capsy
     element = json.dumps(element).replace('"big"', big)
     (tmp_path / "big.json").write_text(element)
     (tmp_path / "seed.json").write_text(f'{{"seed": -{big}}}')
+    (tmp_path / "basis.json").write_text(json.dumps({"basis": {"b1": f".{big}"}}))
     argv, where = {
         "flag": (["iterate", "--n", f"-{big}"], "argument --n: bad integer value"),
         "shifts": (["weyl", "--poly", "b1*C(n,1)", "--shifts", f"0,{big}"], "bad shift value"),
@@ -399,6 +400,8 @@ def test_integers_past_the_digit_limit_name_their_source(source, tmp_path, capsy
         "file": (["ellis", "inv", "--a", f"@{tmp_path / 'big.json'}"], "--a"),
         "config": (["check", "all", "--config", str(tmp_path / "seed.json")],
                    f"config {tmp_path / 'seed.json'}"),
+        "basis": (["check", "all", "--config", str(tmp_path / "basis.json")],
+                  "basis value for b1"),
     }[source]
     try:
         code = main(argv)
@@ -409,6 +412,41 @@ def test_integers_past_the_digit_limit_name_their_source(source, tmp_path, capsy
     assert out == ""
     assert f"{where}: integer literal of {digits} digits is too long\n" in err
     assert "set_int_max_str_digits" not in err and big not in err
+
+
+@pytest.mark.parametrize(
+    "case", ["inline", "file", "config", "env", "file-bytes", "config-bytes", "b-type", "no-file"]
+)
+def test_json_inputs_that_cannot_be_read_name_their_source(case, tmp_path, monkeypatch, capsys):
+    """Nesting past the decoder's recursion limit, a file that is not UTF-8,
+    a value that is not an object and a missing file each exit 3 with empty
+    stdout and a message that names the flag or the config path."""
+    deep = "[" * 3000
+    (tmp_path / "deep.json").write_text(deep)
+    deep_config = str(tmp_path / "deep-config.json")
+    Path(deep_config).write_text('{"level":' + "[" * 100_000)
+    latin1 = str(tmp_path / "latin1.json")
+    Path(latin1).write_bytes(b'{"level": "\xff"}')
+    too_deep = "nests too deeply to decode"
+    argv, message = {
+        "inline": (["ellis", "inv", "--a", deep], f"--a {too_deep}"),
+        "file": (["ellis", "inv", "--a", f"@{tmp_path / 'deep.json'}"], f"--a {too_deep}"),
+        "config": (["check", "all", "--config", deep_config], f"config {deep_config} {too_deep}"),
+        "env": (["check", "all"], f"config {deep_config} {too_deep}"),
+        "file-bytes": (["ellis", "inv", "--a", f"@{latin1}"], f"--a: {latin1!r} is not UTF-8 ("),
+        "config-bytes": (["check", "all", "--config", latin1],
+                         f"config {latin1}: {latin1!r} is not UTF-8 ("),
+        "b-type": (["ellis", "star", "--a", tilde_json(1, 2), "--b", "[1]"],
+                   "--b must hold a JSON object"),
+        "no-file": (["ellis", "inv", "--a", "@/no/such/file"],
+                    "cannot read --a: [Errno 2] No such file or directory: '/no/such/file'"),
+    }[case]
+    if case == "env":
+        monkeypatch.setenv("SKEWTORUS_CONFIG", deep_config)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
 
 
 def test_ellis_element_from_file(tmp_path, capsys):

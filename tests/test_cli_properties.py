@@ -12,6 +12,12 @@ main() must return 0, 2 or 3, or stop with SystemExit(3) on a usage error.
 A config file mutated from a valid one must give the same: exit 0, 2 or
 3, no traceback, and a few seconds at most, on `iterate`, `weyl --char`,
 `check`, `factor-lab demo` and `factor-lab kernel`.
+
+So must hostile JSON: an `ellis` element, inline or in an @file, and a
+config file given by --config or by $SKEWTORUS_CONFIG, with one value (or
+the whole text) replaced by deep nesting, an integer literal near or past
+int()'s digit limit or a value of the wrong JSON type, and sometimes bytes
+that are not UTF-8.
 """
 
 import contextlib
@@ -20,8 +26,10 @@ import io
 import json
 import operator
 import os
+import sys
 import tempfile
 import time
+from unittest import mock
 
 import pytest
 
@@ -211,3 +219,91 @@ def test_mutated_configs_exit_0_2_or_3_in_bounded_time(text, argv):
         start = time.perf_counter()
         _run([*argv, "--config", path])
     assert time.perf_counter() - start < 10, (argv, text)
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_BAD_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80"]  # last two: overlong, surrogate
+
+
+def _nested(depth: int, array: bool, closed: bool) -> str:
+    """depth nested arrays or objects, closed or cut off."""
+    opener, inner, closer = ("[", "", "]") if array else ('{"a":', "0", "}")
+    return opener * depth + (inner + closer * depth if closed else "")
+
+
+hostile_values = st.one_of(
+    # nesting: shallow, about the decoder's recursion limit, and far past it
+    st.builds(
+        _nested,
+        st.one_of(st.integers(1, 30), st.integers(850, 1100), st.integers(1100, 100_000)),
+        st.booleans(),
+        st.booleans(),
+    ),
+    # integer literals about int()'s digit limit, bare, signed, in floats and in strings
+    st.builds(
+        lambda digits, form: form.format("9" * digits),
+        st.integers(_LIMIT - 2, _LIMIT + 2_000),
+        st.sampled_from(["{}", "-{}", "{}.5", "0.{}", "{}e3", '"{}"', '"0.{}"', '"{}*b1"']),
+    ),
+    # the wrong JSON type
+    json_values.map(json.dumps),
+)
+
+
+@st.composite
+def hostile_json(draw, bases):
+    """A valid JSON object drawn from bases, as bytes, with one value or the
+    whole text replaced by a hostile one, and half the time one byte
+    sequence that is not UTF-8 inserted."""
+    obj = json.loads(json.dumps(draw(bases)))
+    path = draw(st.sampled_from(list(_paths(obj))))
+    raw = draw(hostile_values)
+    if path:
+        functools.reduce(operator.getitem, path[:-1], obj)[path[-1]] = "@@hostile@@"
+        raw = json.dumps(obj).replace('"@@hostile@@"', raw)
+    data = raw.encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_BAD_UTF8)) + data[at:]
+    return data
+
+
+elements = st.builds(
+    lambda n, m: HmElement.tilde(CTX, n, m).to_dict(), st.integers(-20, 20), st.integers(1, 3)
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(["inv", "is-iterate", "star"]), hostile_json(elements), st.booleans())
+def test_hostile_element_json_exits_0_2_or_3(op, data, at_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        if at_file:
+            path = os.path.join(tmp, "element.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            a = f"@{path}"
+        else:
+            a = data.decode("utf-8", "surrogateescape")  # as Python decodes argv
+        b = json.dumps(HmElement.tilde(CTX, 1, 3).to_dict())
+        _run(["ellis", op, "--a", a] + (["--b", b] if op == "star" else []))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    hostile_json(st.just(BASE_CONFIG)),
+    st.booleans(),
+    st.sampled_from([["iterate", "--n", "3"], ["weyl", "--char", "1", "--N", "20"],
+                     ["check", "comb.pascal"], ["factor-lab", "demo"]]),
+)
+def test_hostile_config_files_exit_0_2_or_3_in_bounded_time(data, from_env, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        start = time.perf_counter()
+        if from_env:
+            with mock.patch.dict(os.environ, {"SKEWTORUS_CONFIG": path}):
+                _run(argv)
+        else:
+            _run([*argv, "--config", path])
+    assert time.perf_counter() - start < 10, argv

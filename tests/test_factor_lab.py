@@ -1,13 +1,16 @@
 """Coset laboratory: subgroup tests, the blind witness, kernel specs.
 
-All elements here are dimension 3 at level 6 with designated symbol b1,
-so the designated point is the b1 generator over 720.  Frozen counts in
-the witness report were derived by classifying the deterministic index
-family by hand: 15 single entries over 4 coordinates plus 9 two-entry
-choices over 6 coordinate pairs gives 114 vectors, of which 60 are
-constant on cosets.
+Elements here are dimension 3 at level 6 with designated symbol b1, so
+the designated point is the b1 generator over 720; only the torsion
+residue tests also run at levels 3 to 5 and 400 and at m = 2.  Frozen
+counts in the witness report were derived by classifying the
+deterministic index family by hand: 15 single entries over 4 coordinates
+plus 9 two-entry choices over 6 coordinate pairs gives 114 vectors, of
+which 60 are constant on cosets.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -207,23 +210,88 @@ def test_family_is_deterministic():
 
 
 def test_torsion_shadow_in_component_two():
-    # The subgroup conditions only read values at the designated point,
-    # so a component 2 that is pure torsion of exact order two slips in:
-    # it lands in the same coset as the identity yet separates under a
-    # coset-constant vector.  Constancy is therefore guaranteed only for
-    # elements whose component-2 torsion residue vanishes, which is what
-    # the randomized samplers generate.
+    # A component 2 that is pure torsion of exact order two passes the
+    # coherence congruence (2 * 360 = 0 mod 720) and kills x, yet it is
+    # outside G, which asks for residue 0 in every slot, and outside the
+    # identity's coset; a coset-constant vector tells the two apart.
     ghost = HmElement.validate(
         CTX, (IDENT, zmap(), TruncEndo.make(CTX, 360, {}), zmap())
     )
     ident = HmElement.identity(CTX, 3)
-    assert g_member(ghost, CFG)
-    assert coset_equal(ident, ghost, CFG)
+    assert not g1_member(ghost, CFG)
+    assert not g_member(ghost, CFG)
+    assert not coset_equal(ident, ghost, CFG)
 
     v = (ZERO, ZERO, Angle(F(1, 720)), ZERO)
     assert qef_coset_constant(v, CFG)
     assert q_eval(v, ghost) == HALF
     assert q_eval(v, ident) == ZERO
+
+
+@pytest.mark.parametrize("level, m, slot, order", [(6, 2, 2, 2), (400, 2, 2, 2), (6, 3, 3, 6)])
+def test_torsion_residues_above_slot_one_leave_g(level, m, slot, order):
+    """Residue M/order in one slot k >= 2, with zero rows, passes the
+    coherence congruence (k! * M/order = 0 mod M) and kills x.  q reads
+    that residue at a coset-constant torsion coordinate, so the element
+    must lie outside G and outside the identity's coset."""
+    ctx = TruncationContext(level, BASIS)
+    cfg = FactorConfig(ctx, "b1", m)
+    M = ctx.modulus
+    comps = [TruncEndo.power(ctx, 1)] + [TruncEndo.power(ctx, 0)] * m
+    comps[slot] = TruncEndo.make(ctx, M // order, {})
+    phi = HmElement.validate(ctx, comps)
+    ident = HmElement.identity(ctx, m)
+    assert not g_member(phi, cfg)
+    assert not coset_equal(ident, phi, cfg)
+    v = [ZERO] * (m + 1)
+    v[slot] = ctx.torsion_generator()
+    assert qef_coset_constant(v, cfg)
+    assert q_eval(v, phi) == Angle(F(1, order))
+    assert q_eval(v, ident) == ZERO
+
+
+def residue_tuples(M, m):
+    """Every residue tuple (r_1, ..., r_m) of R_L(m), M = L!: r_1 is free,
+    and the coherence congruence k! r_k = k! C(r_1, k) mod M leaves the k!
+    lifts of C(r_1, k) mod M/k! for slot k."""
+    for r1 in range(M):
+        lifts = []
+        for k in range(2, m + 1):
+            step = M // math.factorial(k)
+            lifts.append(range(math.comb(r1, k) % step, M, step))
+        for rest in itertools.product(*lifts):
+            yield (r1, *rest)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3])
+def test_q_is_constant_on_the_torsion_cosets_of_g(level, m):
+    """Every zero-row element of R_L(m) against the identity, under every
+    torsion index vector with one nonzero coordinate: the class calls each
+    such vector constant, so q must agree on every element that
+    coset_equal puts in the identity's coset.  Only the identity is there."""
+    ctx = TruncationContext(level, BASIS)
+    cfg = FactorConfig(ctx, "b1", m)
+    M = ctx.modulus
+    zero, ident = TruncEndo.power(ctx, 0), HmElement.identity(ctx, m)
+    vectors = []
+    for k in range(m + 1):
+        for j in range(1, M):
+            v = [ZERO] * (m + 1)
+            v[k] = Angle(F(j, M))
+            vectors.append(v)
+    assert all(qef_coset_constant(v, cfg) for v in vectors)
+    tuples = list(residue_tuples(M, m))
+    assert len(set(tuples)) == M * math.prod(math.factorial(k) for k in range(2, m + 1))
+    same = []
+    for rs in tuples:
+        comps = [TruncEndo.power(ctx, 1)] + [TruncEndo.make(ctx, r, {}) for r in rs]
+        phi = HmElement.validate(ctx, comps)  # raises unless rs lies in R_L(m)
+        assert coset_equal(ident, phi, cfg) == g_member(phi, cfg)
+        if coset_equal(ident, phi, cfg):
+            same.append(rs)
+            assert all(q_eval(v, phi) == q_eval(v, ident) for v in vectors), rs
+    assert same == [(0,) * m]
 
 
 def test_kernel_specs_frozen():
