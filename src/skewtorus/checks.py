@@ -33,7 +33,7 @@ from .dynamics import (
 )
 from .ellis import HmElement, ast_mul, commutator, predicted_commutator
 from .endo import TruncEndo, decompose, minimal_level
-from .errors import ConfigurationError, MembershipError, TruncationError
+from .errors import ConfigurationError, MembershipError, TruncationError, shown
 from .factor_lab import (
     FactorConfig,
     coset_equal,
@@ -158,7 +158,7 @@ def run_suites(
         if selector == "all" or n == selector or n.startswith(selector + ".")
     )
     if not names:
-        raise ConfigurationError(f"no check suite matches {selector!r}")
+        raise ConfigurationError(f"no check suite matches {shown(selector)}")
     dims = {name: _dimension(name, cfg) for name in names}
     for name in names:
         env = CheckEnv(cfg, random.Random(f"{seed}:{name}"), dims[name])

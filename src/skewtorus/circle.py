@@ -29,7 +29,7 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Union
 
-from .errors import ConfigurationError, ParseError, SkewtorusError
+from .errors import ConfigurationError, ParseError, SkewtorusError, shown
 
 RationalLike = Union[int, Rational]
 CoeffsLike = Union[Mapping[str, RationalLike], Iterable[tuple[str, RationalLike]]]
@@ -63,7 +63,7 @@ class BasisDecl:
             raise ConfigurationError(f"duplicate basis symbols in {self.symbols}")
         for name in self.symbols:
             if not _SYMBOL_RE.fullmatch(name):
-                raise ConfigurationError(f"invalid basis symbol name {name!r}")
+                raise ConfigurationError(f"invalid basis symbol name {shown(name)}")
         if len(self.values) != len(self.symbols):
             raise ConfigurationError("basis symbols and values differ in length")
         for name, (n, d) in zip(self.symbols, self.values):
@@ -79,7 +79,7 @@ class BasisDecl:
             m = _DECIMAL_RE.fullmatch(text)
             if m is None:
                 raise ConfigurationError(
-                    f"basis value for {name} is not a decimal literal: {text!r}"
+                    f"basis value for {name} is not a decimal literal: {shown(text)}"
                 )
             values.append((int_literal(m[1] + m[2], f"basis value for {name}"), 10 ** len(m[2])))
         return cls(tuple(decls), tuple(values))
@@ -88,7 +88,7 @@ class BasisDecl:
         try:
             return self.symbols.index(symbol)
         except ValueError:
-            raise ConfigurationError(f"unknown basis symbol {symbol!r}") from None
+            raise ConfigurationError(f"unknown basis symbol {shown(symbol)}") from None
 
     def require_declared(
         self, what: str, text: str | None, angles: Iterable[Angle], note: str = ""
@@ -96,7 +96,7 @@ class BasisDecl:
         """Refuse angles, read for what from text, that use an undeclared
         symbol; note ends the message."""
         if any(sym not in self.symbols for a in angles for sym, _ in a.cs):
-            raise ConfigurationError(f"{what} must use only basis symbols, got {text!r}{note}")
+            raise ConfigurationError(f"{what} must use only basis symbols, got {shown(text)}{note}")
 
     def value_of(self, symbol: str) -> tuple[int, int]:
         return self.values[self.index_of(symbol)]
@@ -289,10 +289,10 @@ def _expect(text: str, pos: int, token: str, message: str) -> int:
 
 def int_literal(text: str, where: str, error: type[Exception] = ConfigurationError) -> int:
     """The integer that text writes as ASCII digits after an optional '-'.
-    Other text raises error(f"{where} {text!r}"), and a literal past int()'s
+    Other text raises error(f"{where} {shown(text)}"), and a literal past int()'s
     digit limit an error that gives its length in place of its digits."""
     if not _INTEGER_RE.fullmatch(text):
-        raise error(f"{where} {text!r}")
+        raise error(f"{where} {shown(text)}")
     try:
         return int(text)
     except ValueError:

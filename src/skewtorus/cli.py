@@ -22,7 +22,7 @@ from .circle import Angle, ZERO, int_literal, parse_point
 from .config import Config, load_config, read_json_object
 from .dynamics import BasicSystem, CharacterIndex, PolyAngle, orbit_polynomial
 from .ellis import HmElement, commutator, predicted_commutator
-from .errors import ConfigurationError, SkewtorusError
+from .errors import ConfigurationError, SkewtorusError, shown
 from .factor_lab import default_kernel_specs, kernel_member, nonseparation_witness
 from .weyl import MAX_SAMPLES, equidistribution_report
 
@@ -84,7 +84,7 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
 def _parse_tol(text: str) -> float:
     if _DECIMAL.fullmatch(text):
         return float(text)
-    raise ConfigurationError(f"bad tolerance {text!r}: need a positive finite decimal such as 0.02")
+    raise ConfigurationError(f"bad tolerance {shown(text)}: need a positive finite decimal such as 0.02")
 
 
 def _need_seed(args: argparse.Namespace, cfg: Config) -> int:

@@ -21,7 +21,7 @@ from typing import Any
 from .circle import Angle, BasisDecl, int_literal
 from .dynamics import BasicSystem
 from .endo import TruncationContext
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, shown
 from .factor_lab import FactorConfig
 
 DEFAULT_BASIS: dict[str, str] = {
@@ -146,20 +146,20 @@ def config_from_dict(data: Mapping) -> Config:
     system = data.get("system", {})
     if not isinstance(system, Mapping):
         raise ConfigurationError(
-            f"system must be an object with m and x0, got {system!r}"
+            f"system must be an object with m and x0, got {shown(system)}"
         )
     flat = {k: v for k, v in data.items() if k != "system"}
     flat.update((f"system.{k}", v) for k, v in system.items())
     unknown = set(flat) - set(_SCHEMA)
     if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown config keys: {shown(sorted(unknown))}")
     cfg = Config()
     for key, (field, accepts, what, convert) in _SCHEMA.items():
         if key not in flat:
             continue
         value = flat[key]
         if not accepts(value, cfg):
-            raise ConfigurationError(f"{key} must be {what}, got {value!r}")
+            raise ConfigurationError(f"{key} must be {what}, got {shown(value)}")
         cfg = replace(cfg, **{field: convert(value) if convert else value})
     _, accepts, what, _ = _SCHEMA["x_symbol"]  # a given basis may lack the default
     if not accepts(cfg.x_symbol, cfg):

@@ -34,7 +34,7 @@ from operator import mul, neg
 from .circle import Angle
 from .combinatorics import binom
 from .endo import TruncationContext, TruncEndo, identity_rows, kernel, stack
-from .errors import ConfigurationError, MembershipError
+from .errors import ConfigurationError, MembershipError, shown
 
 
 def _convolve(
@@ -202,7 +202,7 @@ class HmElement:
     def from_dict(cls, data: Mapping, ctx: TruncationContext) -> "HmElement":
         for key in ("level", "m"):
             if type(data.get(key, 0)) is not int:  # 0 stands for an absent key; bool is no int
-                raise ConfigurationError(f"{key} must be an integer, got {data[key]!r}")
+                raise ConfigurationError(f"{key} must be an integer, got {shown(data[key])}")
         if "level" in data and data["level"] != ctx.level:
             raise ConfigurationError(
                 f"element was written at level {data['level']}, "

@@ -50,7 +50,7 @@ from itertools import repeat
 from operator import add, mul
 
 from .circle import Angle, BasisDecl, Term, parse_terms
-from .errors import ConfigurationError, TruncationError
+from .errors import ConfigurationError, TruncationError, shown
 
 Row = tuple[int, ...]  # (p mod M, c_1, ..., c_d)
 LEVEL_SEARCH_BOUND = 1_000  # minimal_level's last try; 406 is the level of 1/(7 * 400!)
@@ -269,10 +269,10 @@ class TruncEndo:
     @classmethod
     def from_dict(cls, data: Mapping, ctx: TruncationContext) -> "TruncEndo":
         if not isinstance(data, Mapping):
-            raise ConfigurationError(f"an endomorphism must be an object, got {data!r}")
+            raise ConfigurationError(f"an endomorphism must be an object, got {shown(data)}")
         residue = data.get("residue")
         if not isinstance(residue, int) or isinstance(residue, bool):
-            raise ConfigurationError(f"residue must be an integer, got {residue!r}")
+            raise ConfigurationError(f"residue must be an integer, got {shown(residue)}")
         raw = data.get("images", {})
         if not isinstance(raw, Mapping):
             raise ConfigurationError("images must map symbols to angle strings")
@@ -282,7 +282,7 @@ class TruncEndo:
         for sym, text in raw.items():
             ctx.basis.index_of(sym)
             if not isinstance(text, (str, Angle)):
-                raise ConfigurationError(f"image of {sym} must be an angle string, got {text!r}")
+                raise ConfigurationError(f"image of {sym} must be an angle string, got {shown(text)}")
             images[sym] = parse_terms(text) if isinstance(text, str) else text
         rows = tuple([
             ctx.row(img) if isinstance(img, Angle) else ctx.terms_row(img)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and shown, which echoes
+a rejected value in a message.
 
 Everything raised on purpose derives from SkewtorusError so the CLI can
 map failures to exit codes in one place: configuration and truncation
@@ -6,6 +7,16 @@ problems exit 3, property failures exit 2.
 """
 
 from __future__ import annotations
+
+
+def shown(value: object) -> str:
+    """repr(value) for an error message: a repr over 100 characters keeps
+    its first 100 and gives its length, so a huge value cannot swell the
+    message."""
+    text = repr(value)
+    if len(text) <= 100:
+        return text
+    return f"{text[:100]}... (a repr of {len(text)} characters)"
 
 
 class SkewtorusError(Exception):

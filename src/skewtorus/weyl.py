@@ -8,8 +8,10 @@ Exact phases.  Substituting the declared basis values turns each
 coefficient into an exact rational over a common denominator D.  An
 integer difference table, built once at the start shift, runs as a
 chain of itertools.accumulate calls, so no Python code runs per sample:
-each is one % D, one correctly rounded division, one float multiply by
-2 pi and one cmath.rect.
+each is one % D, then one correctly rounded division, one float multiply
+by 2 pi and one cmath.rect.  For D up to 4096 those last three are done
+once per residue, into a table of e(j / D) cached per denominator, and a
+sample is one % D and one lookup.
 Huge shifts cost one exact binomial shift up front and no precision.
 The rows are not reduced inside the chain, so at high degree they grow
 with the sample count (see MAX_SAMPLES).
@@ -52,15 +54,18 @@ _CHUNK = 4096
 _TWO_PI = 2.0 * math.pi
 
 # Longest minimal period that equidistribution_target sums term by term.
-# A term costs about 0.24-0.41 us at degree 2 and 3.2-3.4 us at degree 64
-# (the parse cap on k), so the exact period mean stays within seconds.
+# A term costs about 0.19-0.25 us at degrees 2 and 3, 0.13-0.18 us there
+# when D <= 4096 and its table is cached, and 2.1-2.6 us at degree 64 (the
+# parse cap on k) on either path, so the exact period mean stays within
+# seconds.
 MAX_PERIOD = 1_000_000
 
 # Most samples that one weyl_average, or one report over all its shifts,
-# takes.  A sample costs about 0.5 us at degrees 2 and 3 and 4 us at
-# degree 64 over 3 * 10^5 samples, where the unreduced rows have grown (up
-# to 0.9 and 7 us on a loaded host); the default config asks for 200,000
-# at 4 shifts.
+# takes.  Over 3 * 10^5 samples a sample costs about 0.39-0.47 us at
+# degrees 2 and 3 with the default basis (D near 10^40), 0.15-0.20 us there
+# when D <= 4096 takes the table, and 2.8-3.4 us at degree 64 (2.3-2.6
+# with the table), where the unreduced rows have grown (up to 0.9 and 7 us
+# on a loaded host); the default config asks for 200,000 at 4 shifts.
 MAX_SAMPLES = 10_000_000
 
 
@@ -76,6 +81,17 @@ def _coefficient_values(poly: PolyAngle, basis: BasisDecl) -> tuple[list[int], i
     return [n * (den // d) for n, d in vals], den
 
 
+def _residues(poly: PolyAngle, basis: BasisDecl, start: int) -> tuple[Iterator[int], int]:
+    """The residues D * p(start), D * p(start+1), ... mod D, and D."""
+    ints, den = _coefficient_values(poly, basis)
+    # (Delta^j p)(start) is coefficient j of p shifted by start
+    *rows, top = [w % den for w in binomial_shift(ints, start)]
+    chain = repeat(top)
+    for row in reversed(rows):
+        chain = accumulate(chain, initial=row)
+    return map(mod, chain, repeat(den)), den
+
+
 def _phases(poly: PolyAngle, basis: BasisDecl, start: int) -> Iterator[float]:
     """Phases of p(start), p(start+1), ... in [0, 1).
 
@@ -83,19 +99,31 @@ def _phases(poly: PolyAngle, basis: BasisDecl, start: int) -> Iterator[float]:
     j+1 into row j (the binomial-basis recurrence), so each row is the
     running sum of the row above it, down from the constant top row.
     """
-    ints, den = _coefficient_values(poly, basis)
-    # (Delta^j p)(start) is coefficient j of p shifted by start
-    *rows, top = [w % den for w in binomial_shift(ints, start)]
-    chain = repeat(top)
-    for row in reversed(rows):
-        chain = accumulate(chain, initial=row)
-    return map(truediv, map(mod, chain, repeat(den)), repeat(den))
+    residues, den = _residues(poly, basis, start)
+    return map(truediv, residues, repeat(den))
+
+
+def _project(residues: Iterable[int], den: int) -> Iterator[complex]:
+    # rect(1.0, y) is (1.0 * cos y, 1.0 * sin y), or (1.0, 0.0) at y = 0: bit for
+    # bit the complex(cos y, sin y) that angle_to_unit builds from y = 2 pi theta
+    phases = map(truediv, residues, repeat(den))
+    return map(cmath.rect, repeat(1.0), map(mul, repeat(_TWO_PI), phases))
+
+
+# A table holds at most _CHUNK values (about 160 KB) and costs at most one
+# chunk of projections to build; 32 of them cover the denominators that a
+# report or a check suite cycles through.
+@lru_cache(maxsize=32)
+def _unit_table(den: int) -> tuple[complex, ...]:
+    """e(j / den) for j = 0..den-1, each from _project as on the direct path."""
+    return tuple(_project(range(den), den))
 
 
 def _units(poly: PolyAngle, basis: BasisDecl, start: int) -> Iterator[complex]:
-    # rect(1.0, y) is (1.0 * cos y, 1.0 * sin y), or (1.0, 0.0) at y = 0: bit for
-    # bit the complex(cos y, sin y) that angle_to_unit builds from y = 2 pi theta
-    return map(cmath.rect, repeat(1.0), map(mul, repeat(_TWO_PI), _phases(poly, basis, start)))
+    residues, den = _residues(poly, basis, start)
+    if den <= _CHUNK:  # a period visits at most den residues: look them up
+        return map(_unit_table(den).__getitem__, residues)
+    return _project(residues, den)
 
 
 def _leaves(lo: int, size: int, depth: int) -> Iterator[tuple[int, int, int]]:

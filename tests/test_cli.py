@@ -32,6 +32,7 @@ from skewtorus.config import FACTOR_MAX_M, MAX_LEVEL, MAX_PLACES, MAX_SYMBOLS, C
 from skewtorus.dynamics import MAX_SYSTEM_M
 from skewtorus.ellis import HmElement
 from skewtorus.endo import LEVEL_SEARCH_BOUND
+from skewtorus.errors import shown
 from skewtorus.samplers import rand_element
 from skewtorus.weyl import MAX_SAMPLES
 
@@ -750,6 +751,52 @@ def test_config_rejections(tmp_path, capsys):
     assert main(["check", "comb.pascal", "--seed", "1",
                  "--config", str(path)]) == 3
     capsys.readouterr()
+
+
+def test_shown_cuts_only_a_repr_past_100_characters():
+    assert shown("a" * 98) == repr("a" * 98)  # 100 characters with its quotes
+    assert shown("a" * 99) == "'" + "a" * 99 + "... (a repr of 101 characters)"
+    assert shown(["b1"] * 30) == repr(["b1"] * 30)[:100] + "... (a repr of 180 characters)"
+
+
+def _with_comp(comp: object) -> dict:
+    return {"level": 6, "m": 1, "comps": [{"residue": 0, "images": {}}, comp]}
+
+
+@pytest.mark.parametrize("source, message, build, huge", [
+    ("config", "tol must be a positive finite number, got ", lambda v: {"tol": v}, "x" * 100_000),
+    ("config", "system must be an object with m and x0, got ", lambda v: {"system": v},
+     "s" * 50_000),
+    ("config", "unknown config keys: ", lambda keys: dict.fromkeys(keys, 1),
+     [f"k{i}" for i in range(5_000)]),
+    ("element", "level must be an integer, got ", lambda v: {"level": v, "comps": []},
+     "z" * 100_000),
+    ("element", "residue must be an integer, got ",
+     lambda v: _with_comp({"residue": v, "images": {}}), "z" * 100_000),
+    ("element", "an endomorphism must be an object, got ", _with_comp, ["z"] * 30_000),
+    ("element", "image of b1 must be an angle string, got ",
+     lambda v: _with_comp({"residue": 1, "images": {"b1": v}}), ["z"] * 30_000),
+], ids=["tol", "system", "keys", "level", "residue", "endo", "image"])
+def test_exit_3_messages_cap_a_long_value_and_give_its_length(
+        tmp_path, capsys, source, message, build, huge):
+    """A rejected value is echoed whole while its repr is short, and cut to
+    100 characters plus the length of its repr when it is long."""
+    short = ["z"] if isinstance(huge, list) else "z"
+    for value in (short, huge):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(build(value)))
+        if source == "config":
+            argv = ["iterate", "--n", "1", "--config", str(path)]
+        else:
+            argv = ["ellis", "inv", "--a", f"@{path}"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        text = repr(sorted(value) if message.startswith("unknown") else value)
+        if value is short:
+            assert (out, err) == ("", f"error: {message}{text}\n")
+        else:
+            assert out == ""
+            assert err == f"error: {message}{text[:100]}... (a repr of {len(text)} characters)\n"
 
 
 def test_usage_errors_exit_three(capsys):

@@ -22,11 +22,13 @@ from skewtorus.circle import Angle, BasisDecl, ZERO, angle_to_unit
 from skewtorus.dynamics import BasicSystem, CharacterIndex, PolyAngle
 from skewtorus.errors import ConfigurationError
 from skewtorus.weyl import (
+    _CHUNK,
     MAX_PERIOD,
     MAX_SAMPLES,
     WeylReport,
     _phases,
     _tree_sum,
+    _unit_table,
     _units,
     equidistribution_report,
     equidistribution_target,
@@ -269,6 +271,51 @@ def test_phase_stream_matches_pointwise_projection():
                     want = _oracle_average(units, N)
                     got = weyl_average(p, N, shift, BASIS)
                     assert repr(got) == repr(want), (str(p), N, shift)
+
+
+def test_unit_table_entries_are_the_direct_projection_bitwise():
+    # entry j is the projection of the phase j / D, as the direct path and
+    # angle_to_unit compute it, for the smallest denominators and the largest
+    for D in (1, 2, 7, 1001, _CHUNK):
+        table = _unit_table(D)
+        assert len(table) == D
+        for j, got in enumerate(table):
+            want = cmath.rect(1.0, 2.0 * math.pi * (j / D))
+            assert _bits(got) == _bits(want), (D, j)
+            assert _bits(got) == _bits(angle_to_unit(Angle(F(j, D)), BASIS)), (D, j)
+
+
+def test_table_and_direct_paths_match_the_pointwise_oracle():
+    # D = _CHUNK takes the table, D = _CHUNK + 1 the direct projection; the
+    # top coefficient is a unit mod D, so D is the common denominator
+    rng = random.Random("weyl-unit-table")
+    for D in (_CHUNK, _CHUNK + 1):
+        for deg in (2, 3):
+            top = rng.randrange(1, D)
+            while math.gcd(top, D) != 1:
+                top = rng.randrange(1, D)
+            coeffs = [Angle(F(rng.randrange(D), D)) for _ in range(deg)] + [Angle(F(top, D))]
+            p = PolyAngle(coeffs)
+            for shift in (0, -7, 10**12):
+                units = [angle_to_unit(p.evaluate(n + shift), BASIS) for n in range(1, 8194)]
+                for N in (1, 4095, 4097, 8193):
+                    got = weyl_average(p, N, shift, BASIS)
+                    assert repr(got) == repr(_oracle_average(units, N)), (D, deg, shift, N)
+
+
+def test_unit_tables_are_cached_only_for_small_denominators():
+    _unit_table.cache_clear()
+    p = quad(F(1, _CHUNK + 1))
+    weyl_average(p, 100, 0, BASIS)
+    equidistribution_target(p, BASIS)
+    assert _unit_table.cache_info().currsize == 0
+    # each small denominator builds its table once; the cache keeps 32
+    for D in range(2, 42):
+        weyl_average(quad(F(1, D)), 10, 0, BASIS)
+        weyl_average(quad(F(1, D)), 10, 5, BASIS)
+        info = _unit_table.cache_info()
+        assert info.currsize == min(D - 1, 32) <= info.maxsize == 32
+        assert (info.misses, info.hits) == (D - 1, D - 1)
 
 
 def test_bit_determinism_and_huge_shifts():
