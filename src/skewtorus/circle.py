@@ -44,6 +44,19 @@ _INTEGER_RE = re.compile(r"-?[0-9]+")  # int() alone also takes "١٢", "1_0" an
 # coefficient per k up to the largest, so the cap bounds that work.
 MAX_BINOM_K = 64
 
+# Longest basis symbol name.  Messages and printed angles carry a symbol
+# whole, so the cap bounds them; a basis checks it before reading a value.
+MAX_SYMBOL_LENGTH = 64
+
+
+def _check_name_lengths(names: Iterable[str]) -> None:
+    for name in names:
+        if len(name) > MAX_SYMBOL_LENGTH:
+            raise ConfigurationError(
+                f"basis symbol names must have at most MAX_SYMBOL_LENGTH = "
+                f"{MAX_SYMBOL_LENGTH} characters, got one of {len(name)}"
+            )
+
 
 @dataclass(frozen=True)
 class BasisDecl:
@@ -59,6 +72,7 @@ class BasisDecl:
     values: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _check_name_lengths(self.symbols)
         if len(self.symbols) != len(set(self.symbols)):
             raise ConfigurationError(f"duplicate basis symbols in {self.symbols}")
         for name in self.symbols:
@@ -74,6 +88,7 @@ class BasisDecl:
 
     @classmethod
     def from_decimals(cls, decls: Mapping[str, str]) -> "BasisDecl":
+        _check_name_lengths(decls)
         values = []
         for name, text in decls.items():
             m = _DECIMAL_RE.fullmatch(text)

@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 from .circle import Angle, ZERO, int_literal, parse_point
 from .config import Config, load_config, read_json_object
@@ -394,14 +395,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Safe to reuse: a parse fills a new Namespace, messages are formatted when printed, defaults are immutable
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> _Parser:
+    """The parser the full one builds for the command name, built on its
+    first call in a process; `main` asks only for names in COMMANDS."""
+    parser = _Parser(prog=f"skewtorus {name}")
+    COMMANDS[name][1](parser)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args, rest = None, None
     if argv and argv[0] in COMMANDS:
-        # the parser the full one builds for this command, and no other
-        parser = _Parser(prog=f"skewtorus {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
     func = getattr(args, "func", None)
     if rest or func is None:
         parser = build_parser()

@@ -29,9 +29,9 @@ coefficient has an irrational part, and likewise for degree-1 rational
 and the target is the exact average over one minimal period, summed on
 the same integer phase stream as the averages.
 
-Bounded work.  Periods above MAX_PERIOD, and more than MAX_SAMPLES
-samples in one average or one report, raise ConfigurationError instead
-of running for minutes.
+Bounded work.  Periods above MAX_PERIOD, more than MAX_SAMPLES samples
+in one average or one report, and more than MAX_SHIFTS shifts in one
+report raise ConfigurationError instead of running for minutes.
 """
 
 from __future__ import annotations
@@ -67,6 +67,14 @@ MAX_PERIOD = 1_000_000
 # with the table), where the unreduced rows have grown (up to 0.9 and 7 us
 # on a loaded host); the default config asks for 200,000 at 4 shifts.
 MAX_SAMPLES = 10_000_000
+
+# Most shifts in one report; the sample cap alone would admit 10^7 at N = 1.
+# A shift costs its own set-up and a JSON row of about 67-100 bytes
+# whatever N is.  At the cap and N = 1 a whole `weyl` run took 1.5 s for
+# 1/7*C(n,2) and 2.2 s at degrees 2 and 3 with shifts near 10^18, writing
+# 6.7-10 MB; at degree 64 a shift near 10^18 costs about 0.75 ms, so 74 s
+# (2 vCPUs, Python 3.11).  The set-up grows with the digits of the shift.
+MAX_SHIFTS = 100_000
 
 
 def _coefficient_values(poly: PolyAngle, basis: BasisDecl) -> tuple[list[int], int]:
@@ -326,6 +334,8 @@ def equidistribution_report(
             f"N = {N} at {len(shifts)} shift(s) is {N * len(shifts)} samples, "
             f"over the cap of {MAX_SAMPLES}"
         )
+    if len(shifts) > MAX_SHIFTS:
+        raise ConfigurationError(f"{len(shifts)} shifts are over the cap of {MAX_SHIFTS}")
     target = equidistribution_target(poly, basis)
     averages = tuple(weyl_average(poly, N, k, basis) for k in shifts)
     return WeylReport(N, tuple(shifts), averages, target, tol)

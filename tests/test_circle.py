@@ -8,7 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from skewtorus.circle import Angle, BasisDecl, ZERO, angle_to_unit, format_point, parse_point
+from skewtorus.circle import (
+    MAX_SYMBOL_LENGTH,
+    Angle,
+    BasisDecl,
+    ZERO,
+    angle_to_unit,
+    format_point,
+    parse_point,
+)
 from skewtorus.errors import ConfigurationError, ParseError
 
 F = Fraction
@@ -211,3 +219,14 @@ def test_basis_validation():
     assert BasisDecl.from_decimals({"b1": "0.40"}).value_of("b1") == (40, 100)
     with pytest.raises(ConfigurationError):
         decl.index_of("b9")
+    # a symbol name is capped by length, checked before duplicates and values
+    name = "b" * MAX_SYMBOL_LENGTH
+    assert BasisDecl((name,), ((1, 3),)).symbols == (name,)
+    message = (f"basis symbol names must have at most MAX_SYMBOL_LENGTH = {MAX_SYMBOL_LENGTH} "
+               f"characters, got one of {MAX_SYMBOL_LENGTH + 1}")
+    for make in (lambda n: BasisDecl((n, n), ((1, 3), (1, 4))),
+                 lambda n: BasisDecl((n,), ((7, 5),)),
+                 lambda n: BasisDecl.from_decimals({n: "not a number"})):
+        with pytest.raises(ConfigurationError) as info:
+            make(name + "b")
+        assert str(info.value) == message

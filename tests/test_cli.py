@@ -19,7 +19,7 @@ import pytest
 
 import skewtorus
 from skewtorus import cli
-from skewtorus.circle import Angle, format_point
+from skewtorus.circle import MAX_SYMBOL_LENGTH, Angle, format_point
 from skewtorus.cli import (
     COMMANDS,
     KERNEL_MAX_SAMPLES,
@@ -34,7 +34,7 @@ from skewtorus.ellis import HmElement
 from skewtorus.endo import LEVEL_SEARCH_BOUND
 from skewtorus.errors import shown
 from skewtorus.samplers import rand_element
-from skewtorus.weyl import MAX_SAMPLES
+from skewtorus.weyl import MAX_SAMPLES, MAX_SHIFTS
 
 
 @pytest.fixture(autouse=True)
@@ -294,6 +294,19 @@ def test_weyl_sample_count_is_capped(tmp_path, capsys):
         assert main(argv) == 3, suite
         assert "over the cap" in capsys.readouterr().err
     assert time.perf_counter() - start < 10
+
+
+def test_weyl_shift_count_is_capped_after_the_sample_count(tmp_path, capsys):
+    path = tmp_path / "shifts.json"
+    path.write_text(json.dumps({"N": 1, "shifts": [0] * (MAX_SHIFTS + 1)}))
+    assert main(["weyl", "--poly", "1/3*C(n,2)", "--config", str(path)]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: {MAX_SHIFTS + 1} shifts are over the cap of {MAX_SHIFTS}\n")
+    # past both caps, the sample count is reported
+    N = MAX_SAMPLES // MAX_SHIFTS + 1
+    assert main(["weyl", "--poly", "1/3*C(n,2)", "--N", str(N), "--config", str(path)]) == 3
+    assert f"is {N * (MAX_SHIFTS + 1)} samples, over the cap of {MAX_SAMPLES}" in (
+        capsys.readouterr().err)
 
 
 def test_weyl_character_of_config_system(capsys):
@@ -753,6 +766,30 @@ def test_config_rejections(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_basis_symbol_name_is_capped_before_its_value_is_read(tmp_path, capsys):
+    path = tmp_path / "basis.json"
+    b1 = dict(Config().basis_decimals)["b1"]
+
+    def run(name: str, value: str, **extra) -> tuple:
+        path.write_text(json.dumps({"basis": {name: value}, "x_symbol": name, **extra}))
+        code = main(["iterate", "--n", "1", "--config", str(path)])
+        return (code, *capsys.readouterr())
+
+    # names up to the cap keep their messages byte for byte
+    for name in ("b9", "b" * MAX_SYMBOL_LENGTH):
+        assert run(name, "0.5x") == (
+            3, "", f"error: basis value for {name} is not a decimal literal: '0.5x'\n")
+    name = "b" * MAX_SYMBOL_LENGTH
+    code, out, _ = run(name, b1, system={"x0": f"1*{name}"})
+    assert code == 0 and lines(out) == [{"point": [f"1*{name}", "0"]}]
+    # a longer name is refused by its length, whatever its value, and not echoed
+    for n in (MAX_SYMBOL_LENGTH + 1, 100_000):
+        for value in ("0.5x", b1):
+            assert run("b" * n, value) == (
+                3, "", "error: basis symbol names must have at most MAX_SYMBOL_LENGTH = "
+                f"{MAX_SYMBOL_LENGTH} characters, got one of {n}\n")
+
+
 def test_shown_cuts_only_a_repr_past_100_characters():
     assert shown("a" * 98) == repr("a" * 98)  # 100 characters with its quotes
     assert shown("a" * 99) == "'" + "a" * 99 + "... (a repr of 101 characters)"
@@ -845,7 +882,11 @@ def test_a_valid_call_builds_only_its_own_parser(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli._command_parser.cache_clear()
     assert main(["ellis", "star", "--a", tilde_json(2, 3), "--b", tilde_json(3, 3)]) == 0
+    assert built == ["skewtorus ellis"]
+    # a later call of the same command reuses that parser and builds none
+    assert main(["ellis", "inv", "--a", tilde_json(2, 3)]) == 0
     assert built == ["skewtorus ellis"]
     capsys.readouterr()
     # a leftover argument is reported by the full parser, with its usage
@@ -856,6 +897,53 @@ def test_a_valid_call_builds_only_its_own_parser(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("usage: skewtorus [-h] {iterate,weyl,ellis,factor-lab,check} ...")
     assert err.endswith("skewtorus: error: unrecognized arguments: extra\n")
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(monkeypatch):
+    """Valid calls, type and usage errors, cap refusals and every --help,
+    interleaved, give the same exit code, stdout and stderr byte for byte
+    through the cached command parsers as through parsers built per call,
+    also after COLUMNS changes under a filled cache."""
+    elem = tilde_json(2, 3)
+    helps = [[]] + [[c] for c in COMMANDS] + [["factor-lab", "demo"], ["factor-lab", "kernel"]]
+    helps = [path + ["--help"] for path in helps]
+    calls = [
+        ["ellis", "star", "--a", elem, "--b", tilde_json(3, 3)],
+        ["iterate", "--n", "x"],
+        ["weyl", "--poly", "1/3*C(n,2)", "--N", "30", "--shifts", "0,7"],
+        ["ellis"],
+        ["factor-lab", "kernel", "--samples", "0"],
+        ["iterate", "--n", "3", "--oracle"],
+        ["weyl", "--char", "x"],
+        ["iterate", "--n", "1", "extra"],
+        ["factor-lab", "demo"],
+        ["iterate", "--n", str(-ORACLE_MAX_STEPS - 1), "--oracle"],
+        ["factor-lab", "bogus"],
+        ["ellis", "inv", "--a", elem],
+        ["weyl", "--format", "xml"],
+        ["factor-lab", "kernel", "--samples", str(KERNEL_MAX_SAMPLES + 1)],
+        ["bogus"],
+        ["weyl", "--poly", "1/3*C(n,2)", "--N", str(MAX_SAMPLES), "--shifts", "0,1"],
+        ["factor-lab", "kernel", "--samples", "2", "--seed", "5"],
+        ["check", "comb.pascal", "--seed", "4_2"],
+        ["check", "comb.pascal", "--seed", "1", "--reproducible"],
+        ["iterate"],
+        ["ellis", "comm", "--a", elem],
+        ["iterate", "--n", "3", "--oracle"],
+    ]
+    argvs = []
+    for i, argv in enumerate(calls):
+        argvs += [argv, helps[i % len(helps)]]
+    cli._command_parser.cache_clear()
+    for columns in ("80", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_command_parser", cli._command_parser.__wrapped__)
+            fresh = [_run(main, argv) for argv in argvs]
+        assert {code for code, _, _ in fresh} == {0, 3}
+        for _ in range(2):
+            assert [_run(main, argv) for argv in argvs] == fresh, columns
+    assert cli._command_parser.cache_info().currsize == len(COMMANDS)
 
 
 def test_importing_the_cli_leaves_the_check_suites_unloaded():

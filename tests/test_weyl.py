@@ -25,6 +25,7 @@ from skewtorus.weyl import (
     _CHUNK,
     MAX_PERIOD,
     MAX_SAMPLES,
+    MAX_SHIFTS,
     WeylReport,
     _phases,
     _tree_sum,
@@ -370,6 +371,17 @@ def test_sample_count_is_capped():
     with pytest.raises(ConfigurationError) as info:
         equidistribution_report(p, MAX_SAMPLES // 2 + 1, [0, 1], 0.1, BASIS)
     assert f"is {2 * (MAX_SAMPLES // 2 + 1)} samples" in str(info.value)
+
+
+def test_shift_count_is_capped():
+    p = PolyAngle([ZERO, ZERO, Angle(F(1, 7))])
+    shifts = list(range(MAX_SHIFTS))
+    rep = equidistribution_report(p, 1, shifts, 0.5, BASIS)
+    assert rep.shifts == tuple(shifts) and len(rep.averages) == MAX_SHIFTS
+    assert rep.averages[:8] == tuple(weyl_average(p, 1, k, BASIS) for k in range(8))
+    with pytest.raises(ConfigurationError) as info:
+        equidistribution_report(p, 1, shifts + [0], 0.5, BASIS)
+    assert str(info.value) == f"{MAX_SHIFTS + 1} shifts are over the cap of {MAX_SHIFTS}"
 
 
 def test_failing_tolerance_is_reported_not_raised():
